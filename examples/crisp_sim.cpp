@@ -125,8 +125,6 @@ parseArgs(int argc, char **argv)
  * Multi-GPU scenarios (gpu.num_gpus > 1) run here: one Gpu per device
  * plus the inter-GPU fabric, with the scenario's placement deciding the
  * per-device partitioning — the --policy/--share flags do not apply.
- * Fast-forward is also ignored: devices step in lockstep through the
- * fabric, so per-device idle jumps cannot compose.
  */
 int
 runMultiGpu(const Options &opt, const scenario::Scenario &scn)
@@ -138,6 +136,7 @@ runMultiGpu(const Options &opt, const scenario::Scenario &scn)
     {
         engine::EngineConfig ec;
         ec.threads = opt.threads;
+        ec.fastForward = opt.fastForward;
         machine.setEngine(ec);
     }
 
@@ -226,6 +225,17 @@ runMultiGpu(const Options &opt, const scenario::Scenario &scn)
                 static_cast<unsigned long long>(fabric.pageMigrations()),
                 static_cast<unsigned long long>(
                     fabric.bytesTransferred()));
+    if (opt.fastForward) {
+        uint64_t jumps = 0;
+        uint64_t skipped = 0;
+        for (uint32_t d = 0; d < mcfg.numGpus; ++d) {
+            jumps += machine.device(d).fastForwardJumps();
+            skipped += machine.device(d).fastForwardCycles();
+        }
+        std::printf("fast-forward: %llu jumps skipped %llu idle cycles\n",
+                    static_cast<unsigned long long>(jumps),
+                    static_cast<unsigned long long>(skipped));
+    }
 
     Table t({"stream", "device", "cycles(first..last)", "kernels",
              "instructions", "IPC", "L2 hit%", "remote", "dram rd"});

@@ -1016,21 +1016,47 @@ Gpu::buildHangReport(
 Gpu::RunResult
 Gpu::run(Cycle max_cycles, const integrity::RunOptions &opts)
 {
-    RunResult result;
-    const Cycle interval = opts.checkInterval;
-
     // Attach the caller's sink for the duration of the run.
     telemetry::TelemetrySink *const previous_sink = telemetry_;
     if (opts.telemetry) {
         setTelemetry(opts.telemetry);
     }
+    const std::vector<const Sm *> sms = constSms();
+    // Reused across audit firings so a tight cadence (e.g. every 4096
+    // cycles) tallies in-flight requests without allocating each time.
+    SmallFlatMap<StreamId, uint64_t> audit_scratch;
+    RunResult result = runMachine(
+        {this}, nullptr, max_cycles, opts,
+        [&](Cycle now, std::vector<integrity::InvariantViolation> &out) {
+            audit::auditAll(stats_, sms, *l2_, now, audit_scratch, out);
+        });
+    if (opts.telemetry) {
+        setTelemetry(previous_sink);
+    }
+    return result;
+}
+
+Gpu::RunResult
+Gpu::runMachine(const std::vector<Gpu *> &devices, RemoteMemPort *fabric,
+                Cycle max_cycles, const integrity::RunOptions &opts,
+                const MachineAudit &audit)
+{
+    fatal_if(devices.empty(), "a machine needs at least one device");
+    RunResult result;
+    const Gpu &lead = *devices.front();
+    const Cycle &cycle = lead.cycle_;
+    for (const Gpu *gpu : devices) {
+        panic_if(gpu->cycle_ != cycle, "devices out of lockstep");
+    }
+    const Cycle interval = opts.checkInterval;
 
     // Auto thresholds scale with the configured memory round trip, so a
     // clean-but-slow machine (deep queues, DRAM contention) never trips
     // the watchdog while a genuine hang is caught within a few round
     // trips.
+    const L2Config &l2cfg = lead.cfg_.l2;
     const Cycle roundtrip =
-        cfg_.l2.l2Latency + 2 * cfg_.l2.icntLatency + cfg_.l2.dramLatency;
+        l2cfg.l2Latency + 2 * l2cfg.icntLatency + l2cfg.dramLatency;
     const Cycle hang_threshold =
         opts.hangThreshold ? opts.hangThreshold : 8 * roundtrip + 10000;
     const Cycle leak_age =
@@ -1039,29 +1065,60 @@ Gpu::run(Cycle max_cycles, const integrity::RunOptions &opts)
     // draining a full egress queue ahead of a parked request, one grant
     // per round, times the configured safety factor (0 disables).
     const Cycle retry_bound = static_cast<Cycle>(opts.retryWaitBoundFactor) *
-                              numSms() * cfg_.sm.ldstQueueDepth;
+                              lead.numSms() * lead.cfg_.sm.ldstQueueDepth;
 
-    uint64_t last_sig = progressSignature();
-    Cycle last_progress = cycle_;
-    Cycle next_check = cycle_ + interval;
+    std::vector<const Sm *> all_sms;
+    std::vector<const L2Subsystem *> l2s;
+    std::vector<std::vector<const Sm *>> device_sms;
+    for (const Gpu *gpu : devices) {
+        device_sms.push_back(gpu->constSms());
+        all_sms.insert(all_sms.end(), device_sms.back().begin(),
+                       device_sms.back().end());
+        l2s.push_back(gpu->l2_.get());
+    }
+
+    auto signature = [&] {
+        uint64_t sig = 0;
+        for (const Gpu *gpu : devices) {
+            sig += gpu->progressSignature();
+        }
+        return sig;
+    };
+    auto done = [&] {
+        if (fabric != nullptr && !fabric->idle()) {
+            return false;
+        }
+        return std::all_of(devices.begin(), devices.end(),
+                           [](const Gpu *gpu) { return gpu->done(); });
+    };
+    // Machine-wide work counter: standing still across a tick proves the
+    // tick did nothing anywhere, fabric included.
+    auto work = [&] {
+        uint64_t w = fabric != nullptr ? fabric->activityCount() : 0;
+        for (const Gpu *gpu : devices) {
+            w += gpu->totalWorkCount();
+        }
+        return w;
+    };
+
+    uint64_t last_sig = signature();
+    Cycle last_progress = cycle;
+    Cycle next_check = cycle + interval;
     const Cycle audit_interval = opts.auditInterval;
-    Cycle next_audit = cycle_ + audit_interval;
-    const std::vector<const Sm *> sms = constSms();
-    // Reused across audit firings so a tight cadence (e.g. every 4096
-    // cycles) tallies in-flight requests without allocating each time.
-    SmallFlatMap<StreamId, uint64_t> audit_scratch;
+    Cycle next_audit = cycle + audit_interval;
 
     // Idle fast-forward: armed per run, and never under fault injection
     // (a frozen SM's "idle" is exactly what the watchdog must observe
-    // tick by tick). Zero-work ticks are detected by the machine-wide
-    // work counter standing still across a tick.
+    // tick by tick).
     const bool fast_forward =
-        engine_.fastForward && faultInjector_ == nullptr;
-    uint64_t last_work = fast_forward ? totalWorkCount() : 0;
+        std::all_of(devices.begin(), devices.end(), [](const Gpu *gpu) {
+            return gpu->engine_.fastForward &&
+                gpu->faultInjector_ == nullptr;
+        });
+    uint64_t last_work = fast_forward ? work() : 0;
 
-    while (cycle_ < max_cycles) {
+    while (cycle < max_cycles) {
         if (done()) {
-            result.completed = true;
             break;
         }
         // Cooperative cancellation: a relaxed load per tick (the flag
@@ -1073,35 +1130,52 @@ Gpu::run(Cycle max_cycles, const integrity::RunOptions &opts)
             result.cancelled = true;
             break;
         }
-        tick();
+        // Lockstep tick: the fabric first, so deliveries land in bank
+        // queues and SMs before each device's own memory phase of the
+        // same cycle, then the devices in id order.
+        if (fabric != nullptr) {
+            fabric->step(cycle + 1);
+        }
+        for (Gpu *gpu : devices) {
+            gpu->tick();
+        }
         if (fast_forward) {
-            const uint64_t work = totalWorkCount();
-            if (work == last_work) {
-                // Nothing happened this tick: jump to just before the
-                // earliest cycle anything can happen, clamped so the
-                // watchdog still runs at its exact cadence and the run
-                // still ends at max_cycles. kNeverCycle (a dead machine)
-                // is left to the watchdog at normal speed.
-                // The watchdog clamps the jump (it must observe time
-                // pass at its exact cadence); the counter audit does
-                // not — its identities depend only on counter state,
+            const uint64_t w = work();
+            if (w == last_work) {
+                // Nothing happened this tick: jump every device to just
+                // before the earliest cycle anything can happen anywhere,
+                // clamped so the watchdog still runs at its exact
+                // cadence and the run still ends at max_cycles.
+                // kNeverCycle (a dead machine) is left to the watchdog at
+                // normal speed. The counter audit does not clamp the
+                // jump: its identities depend only on counter state,
                 // which is frozen across idle ticks, and an overdue
-                // audit fires on the first tick after the jump anyway.
-                const Cycle wake = nextWakeCycle();
+                // audit fires right after the jump.
+                Cycle wake = fabric != nullptr
+                    ? fabric->nextEventCycle(cycle)
+                    : kNeverCycle;
+                for (const Gpu *gpu : devices) {
+                    if (wake <= cycle + 1) {
+                        break;   // nothing can wake earlier
+                    }
+                    wake = std::min(wake, gpu->nextWakeCycle());
+                }
                 Cycle limit = max_cycles;
                 if (interval != 0) {
                     limit = std::min(limit, next_check);
                 }
-                if (wake != kNeverCycle && std::min(wake, limit) >
-                                               cycle_ + 1) {
-                    fastForwardTo(std::min(wake, limit) - 1);
+                if (wake != kNeverCycle &&
+                    std::min(wake, limit) > cycle + 1) {
+                    const Cycle target = std::min(wake, limit) - 1;
+                    for (Gpu *gpu : devices) {
+                        gpu->fastForwardTo(target);
+                    }
                 }
             }
-            last_work = work;
+            last_work = w;
         }
-        const bool check_due = interval != 0 && cycle_ >= next_check;
-        const bool audit_due =
-            audit_interval != 0 && cycle_ >= next_audit;
+        const bool check_due = interval != 0 && cycle >= next_check;
+        const bool audit_due = audit_interval != 0 && cycle >= next_audit;
         if (!check_due && !audit_due) {
             continue;
         }
@@ -1110,29 +1184,48 @@ Gpu::run(Cycle max_cycles, const integrity::RunOptions &opts)
         std::vector<integrity::HangReport::MshrLeakRow> leaks;
         bool hung = false;
         if (check_due) {
-            next_check = cycle_ + interval;
-            const uint64_t sig = progressSignature();
+            next_check = cycle + interval;
+            const uint64_t sig = signature();
             if (sig != last_sig) {
                 last_sig = sig;
-                last_progress = cycle_;
+                last_progress = cycle;
             }
             if (opts.checkInvariants) {
-                integrity::checkConservation(sms, *l2_, cycle_,
-                                             violations);
-                integrity::checkSmAccounting(sms, cycle_, violations);
-                leaks = integrity::findMshrLeaks(sms, *l2_, cycle_,
-                                                 leak_age, &violations);
-                integrity::checkBoundedRetryWait(sms, cycle_, retry_bound,
-                                                 violations);
-                checkStreamLiveness(violations);
+                integrity::checkConservation(
+                    all_sms, l2s,
+                    fabric != nullptr ? fabric->readsInFlight() : 0, cycle,
+                    violations);
+                integrity::checkSmAccounting(all_sms, cycle, violations);
+                for (size_t d = 0; d < devices.size(); ++d) {
+                    // A remote miss is live on the fabric or at a peer.
+                    const uint32_t id = devices[d]->deviceId_;
+                    std::function<bool(uint32_t, Addr)> elsewhere;
+                    if (fabric != nullptr) {
+                        elsewhere = [&](uint32_t sm, Addr line) {
+                            return fabric->lineInFlightFor(id, sm, line);
+                        };
+                    }
+                    std::vector<integrity::HangReport::MshrLeakRow> rows =
+                        integrity::findMshrLeaks(device_sms[d], *l2s[d],
+                                                 cycle, leak_age,
+                                                 &violations, elsewhere);
+                    leaks.insert(leaks.end(), rows.begin(), rows.end());
+                }
+                integrity::checkBoundedRetryWait(all_sms, cycle,
+                                                 retry_bound, violations);
+                for (const Gpu *gpu : devices) {
+                    gpu->checkStreamLiveness(violations);
+                }
             }
-            hung = cycle_ - last_progress >= hang_threshold &&
-                   !progressImminent();
+            hung = cycle - last_progress >= hang_threshold &&
+                   std::none_of(devices.begin(), devices.end(),
+                                [](const Gpu *gpu) {
+                                    return gpu->progressImminent();
+                                });
         }
         if (audit_due) {
-            next_audit = cycle_ + audit_interval;
-            audit::auditAll(stats_, sms, *l2_, cycle_, audit_scratch,
-                            violations);
+            next_audit = cycle + audit_interval;
+            audit(cycle, violations);
         }
         if (violations.empty() && !hung) {
             continue;
@@ -1142,11 +1235,24 @@ Gpu::run(Cycle max_cycles, const integrity::RunOptions &opts)
         if (hung) {
             reason = logging_detail::formatMessage(
                 "no forward progress for %" PRIu64 " cycles",
-                cycle_ - last_progress);
+                cycle - last_progress);
         } else {
             reason = "invariant violation: " + violations.front().check;
         }
-        integrity::HangReport report = buildHangReport(
+        // The report's SM, stream and memory tables describe one device:
+        // the first one that still has work.
+        const Gpu *culprit = devices.front();
+        for (const Gpu *gpu : devices) {
+            if (!gpu->done()) {
+                culprit = gpu;
+                break;
+            }
+        }
+        if (devices.size() > 1) {
+            reason = logging_detail::formatMessage(
+                "device %u: %s", culprit->deviceId_, reason.c_str());
+        }
+        integrity::HangReport report = culprit->buildHangReport(
             last_progress, std::move(reason), std::move(violations),
             std::move(leaks));
         if (opts.onHang == integrity::RunOptions::OnHang::Panic) {
@@ -1155,10 +1261,8 @@ Gpu::run(Cycle max_cycles, const integrity::RunOptions &opts)
         result.hang = std::move(report);
         break;
     }
-    result.cycles = cycle_;
-    if (opts.telemetry) {
-        setTelemetry(previous_sink);
-    }
+    result.cycles = cycle;
+    result.completed = !result.hang && done();
     return result;
 }
 

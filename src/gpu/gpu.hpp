@@ -72,6 +72,50 @@ class RemoteMemPort
      */
     virtual void submitRemoteResponse(MemRequest resp, uint32_t from_device,
                                       Cycle now) = 0;
+
+    // --- Run-loop view (Gpu::runMachine) -----------------------------------
+
+    /**
+     * Advance one cycle. The run loop calls this before the device ticks
+     * of the same cycle, so deliveries land ahead of the devices' own
+     * memory phases.
+     */
+    virtual void step(Cycle now) = 0;
+
+    /** True when no packet is queued, on a wire, or parked anywhere. */
+    virtual bool idle() const = 0;
+
+    /**
+     * Monotone count of everything the fabric did (packets accepted and
+     * delivered, bytes put on a wire). A tick that leaves it and every
+     * device's work count unchanged did no work anywhere.
+     */
+    virtual uint64_t activityCount() const = 0;
+
+    /**
+     * Earliest cycle after @p now at which step() can do anything: now
+     * + 1 while a landed packet waits for a bank slot, otherwise the
+     * earliest wire delivery or the cycle a queued packet's wire frees
+     * (kNeverCycle when idle). It may be early, never late: the
+     * machine-wide idle jump never passes it.
+     */
+    virtual Cycle nextEventCycle(Cycle now) const = 0;
+
+    /**
+     * Reads in flight on the fabric: read requests not yet delivered to
+     * the owner's L2, plus fills on their way back. Closes the
+     * machine-wide L1 MSHR conservation balance.
+     */
+    virtual uint64_t readsInFlight() const = 0;
+
+    /**
+     * True when a read of @p line issued by SM @p sm of @p device is live
+     * outside that device: on the fabric, or queued, merged or
+     * responding in a peer's L2. Keeps the MSHR leak scan from calling a
+     * remote miss orphaned.
+     */
+    virtual bool lineInFlightFor(uint32_t device, uint32_t sm,
+                                 Addr line) const = 0;
 };
 
 /** GPU spatial-partitioning methods modeled by CRISP (§III-A, Fig 4). */
@@ -271,6 +315,23 @@ class Gpu : public MemFabricPort
      */
     RunResult run(Cycle max_cycles = ~0ull,
                   const integrity::RunOptions &opts = {});
+
+    /** Machine-wide counter audit run at RunOptions::auditInterval. */
+    using MachineAudit = std::function<void(
+        Cycle, std::vector<integrity::InvariantViolation> &)>;
+
+    /**
+     * The one run loop, for 1..N devices plus an optional @p fabric
+     * (nullptr for a single GPU): cancellation, lockstep ticks (fabric
+     * first, then devices in order), machine-wide idle fast-forward,
+     * watchdog and invariant checks, @p audit, and the hang report. Every
+     * device must be at the same cycle. Fast-forward is armed only when
+     * every device's engine asks for it and none has a fault injector.
+     */
+    static RunResult runMachine(const std::vector<Gpu *> &devices,
+                                RemoteMemPort *fabric, Cycle max_cycles,
+                                const integrity::RunOptions &opts,
+                                const MachineAudit &audit);
 
     bool done() const;
     Cycle now() const { return cycle_; }

@@ -12,27 +12,34 @@ namespace integrity
 using logging_detail::formatMessage;
 
 void
-checkConservation(const std::vector<const Sm *> &sms, const L2Subsystem &l2,
-                  Cycle now, std::vector<InvariantViolation> &out)
+checkConservation(const std::vector<const Sm *> &sms,
+                  const std::vector<const L2Subsystem *> &l2s,
+                  uint64_t fabric_reads, Cycle now,
+                  std::vector<InvariantViolation> &out)
 {
-    const L2Subsystem::InFlight f = l2.inFlight();
+    uint64_t in_l2s = 0;
+    for (const L2Subsystem *l2 : l2s) {
+        const L2Subsystem::InFlight f = l2->inFlight();
 
-    // 1. Cumulative conservation on the L2 side: every accepted read is
-    // either still outstanding or has been delivered. A dropped response
-    // makes the left side exceed the right side forever.
-    const uint64_t outstanding =
-        f.queuedReads + f.mshrResponseTargets + f.pendingResponses;
-    if (l2.readsAccepted() != l2.responsesDelivered() + outstanding) {
-        out.push_back(
-            {"mem-conservation",
-             formatMessage("L2 reads accepted (%" PRIu64 ") != delivered "
-                           "(%" PRIu64 ") + outstanding (%" PRIu64
-                           ": %" PRIu64 " queued + %" PRIu64
-                           " mshr targets + %" PRIu64 " responses)",
-                           l2.readsAccepted(), l2.responsesDelivered(),
-                           outstanding, f.queuedReads,
-                           f.mshrResponseTargets, f.pendingResponses),
-             now});
+        // 1. Cumulative conservation on the L2 side: every accepted read
+        // is either still outstanding or has been delivered. A dropped
+        // response makes the left side exceed the right side forever.
+        const uint64_t outstanding =
+            f.queuedReads + f.mshrResponseTargets + f.pendingResponses;
+        in_l2s += outstanding;
+        if (l2->readsAccepted() != l2->responsesDelivered() + outstanding) {
+            out.push_back(
+                {"mem-conservation",
+                 formatMessage("L2 reads accepted (%" PRIu64 ") != "
+                               "delivered (%" PRIu64 ") + outstanding (%"
+                               PRIu64 ": %" PRIu64 " queued + %" PRIu64
+                               " mshr targets + %" PRIu64 " responses)",
+                               l2->readsAccepted(),
+                               l2->responsesDelivered(), outstanding,
+                               f.queuedReads, f.mshrResponseTargets,
+                               f.pendingResponses),
+                 now});
+        }
     }
 
     // 2. Structural cross-layer conservation: each outstanding L1 MSHR
@@ -44,13 +51,13 @@ checkConservation(const std::vector<const Sm *> &sms, const L2Subsystem &l2,
         l1_entries += sm->l1Mshr().entriesInUse();
         retained += sm->pendingFabricReads();
     }
-    if (l1_entries != retained + outstanding) {
+    if (l1_entries != retained + in_l2s + fabric_reads) {
         out.push_back(
             {"mem-conservation",
              formatMessage("outstanding L1 MSHR lines (%" PRIu64 ") != "
                            "fabric-retry (%" PRIu64 ") + in-flight in L2 "
-                           "(%" PRIu64 ")",
-                           l1_entries, retained, outstanding),
+                           "(%" PRIu64 ") + between devices (%" PRIu64 ")",
+                           l1_entries, retained, in_l2s, fabric_reads),
              now});
     }
 }
@@ -92,7 +99,9 @@ checkBoundedRetryWait(const std::vector<const Sm *> &sms, Cycle now,
 std::vector<HangReport::MshrLeakRow>
 findMshrLeaks(const std::vector<const Sm *> &sms, const L2Subsystem &l2,
               Cycle now, Cycle max_age,
-              std::vector<InvariantViolation> *out)
+              std::vector<InvariantViolation> *out,
+              const std::function<bool(uint32_t sm, Addr line)>
+                  &live_elsewhere)
 {
     std::vector<HangReport::MshrLeakRow> leaks;
     auto report = [&](const HangReport::MshrLeakRow &row) {
@@ -132,7 +141,9 @@ findMshrLeaks(const std::vector<const Sm *> &sms, const L2Subsystem &l2,
             // starved, not leaked: under saturation a request can queue
             // for tens of thousands of cycles and still complete.
             if (sm->fabricRetryHasLine(entry.line) ||
-                l2.lineInFlightFor(sm->smId(), entry.line)) {
+                l2.lineInFlightFor(sm->smId(), entry.line) ||
+                (live_elsewhere &&
+                 live_elsewhere(sm->smId(), entry.line))) {
                 continue;
             }
             HangReport::MshrLeakRow row;

@@ -1,6 +1,7 @@
 #ifndef CRISP_INTEGRITY_CHECKS_HPP
 #define CRISP_INTEGRITY_CHECKS_HPP
 
+#include <functional>
 #include <vector>
 
 #include "core/sm.hpp"
@@ -21,16 +22,18 @@ namespace integrity
 
 /**
  * Conservation of in-flight memory reads, checked two ways:
- *  1. cumulative, L2-side: reads accepted == responses delivered +
- *     outstanding (bank queues + MSHR targets + response queue);
- *  2. structural, cross-layer: every outstanding L1 MSHR line must have
- *     exactly one representative in the SM's retry queue or somewhere in
- *     the L2 subsystem.
+ *  1. cumulative, L2-side, per L2: reads accepted == responses delivered
+ *     + outstanding (bank queues + MSHR targets + response queue);
+ *  2. structural, cross-layer, over the whole machine: every outstanding
+ *     L1 MSHR line must have exactly one representative in its SM's
+ *     retry queue, in some L2 subsystem, or among the @p fabric_reads
+ *     reads in flight between devices (0 for a single GPU).
  * A dropped response breaks both; a leaked-but-consistent MSHR entry
  * breaks neither (the age-based leak scan exists for that).
  */
 void checkConservation(const std::vector<const Sm *> &sms,
-                       const L2Subsystem &l2, Cycle now,
+                       const std::vector<const L2Subsystem *> &l2s,
+                       uint64_t fabric_reads, Cycle now,
                        std::vector<InvariantViolation> &out);
 
 /** Per-SM resource accounting audit (tracked vs recomputed vs quota). */
@@ -60,12 +63,15 @@ void checkBoundedRetryWait(const std::vector<const Sm *> &sms, Cycle now,
  * in-flight trace. Returns structured rows (for the HangReport) and
  * appends one violation per leaked entry, naming the line address and
  * the owning SM/bank — the acceptance-test contract for dropped-fill
- * hangs.
+ * hangs. On a multi-GPU machine @p live_elsewhere answers whether an L1
+ * entry's read is live beyond this device (on the fabric or at a peer).
  */
 std::vector<HangReport::MshrLeakRow>
 findMshrLeaks(const std::vector<const Sm *> &sms, const L2Subsystem &l2,
               Cycle now, Cycle max_age,
-              std::vector<InvariantViolation> *out);
+              std::vector<InvariantViolation> *out,
+              const std::function<bool(uint32_t sm, Addr line)>
+                  &live_elsewhere = {});
 
 /** Build a HangReport SM row from a live SM. */
 HangReport::SmRow smRow(const Sm &sm, Cycle now);

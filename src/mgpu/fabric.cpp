@@ -1,5 +1,6 @@
 #include "mgpu/fabric.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -8,6 +9,29 @@ namespace crisp
 {
 namespace mgpu
 {
+
+namespace
+{
+
+/** Calls @p fn on every packet @p links hold: queued, on a wire, landed. */
+template <typename Links, typename Fn>
+void
+forEachPacket(const Links &links, Fn fn)
+{
+    for (const auto &link : links) {
+        for (const MemRequest &req : link.queue) {
+            fn(req);
+        }
+        for (const auto &p : link.inFlight) {
+            fn(p.req);
+        }
+        for (const MemRequest &req : link.landed) {
+            fn(req);
+        }
+    }
+}
+
+} // namespace
 
 InterGpuFabric::InterGpuFabric(const FabricConfig &cfg,
                                uint32_t num_devices, Addr window_bytes)
@@ -168,6 +192,10 @@ InterGpuFabric::pump(Link &link, Cycle now)
 void
 InterGpuFabric::step(Cycle now)
 {
+    if (idle()) {
+        return;   // nothing queued, on a wire or landed
+    }
+
     // 1. Land due request packets (wire → destination landing queue).
     for (Link &link : requestLinks_) {
         while (!link.inFlight.empty() &&
@@ -187,7 +215,8 @@ InterGpuFabric::step(Cycle now)
         const uint32_t start =
             static_cast<uint32_t>(now % static_cast<Cycle>(numDevices_));
         bool progress = true;
-        std::vector<bool> blocked(numDevices_, false);
+        std::vector<uint8_t> &blocked = blockedScratch_;
+        blocked.assign(numDevices_, 0);
         while (progress) {
             progress = false;
             for (uint32_t r = 0; r < numDevices_; ++r) {
@@ -201,7 +230,7 @@ InterGpuFabric::step(Cycle now)
                 }
                 if (!devices_[dst]->acceptRemoteRequest(
                         link.landed.front(), now)) {
-                    blocked[src] = true;
+                    blocked[src] = 1;
                     continue;
                 }
                 link.landed.pop_front();
@@ -245,18 +274,77 @@ InterGpuFabric::step(Cycle now)
 bool
 InterGpuFabric::idle() const
 {
-    for (const Link &link : requestLinks_) {
-        if (!link.queue.empty() || !link.inFlight.empty() ||
-            !link.landed.empty()) {
-            return false;
+    // Every packet is counted once on acceptance and once on delivery
+    // (the machine audit checks the pairing against the queues).
+    return requestsAccepted_ == requestsDelivered_ &&
+        responsesAccepted_ == responsesDelivered_;
+}
+
+uint64_t
+InterGpuFabric::activityCount() const
+{
+    return requestsAccepted_ + requestsDelivered_ + responsesAccepted_ +
+        responsesDelivered_ + bytesTransferred_;
+}
+
+Cycle
+InterGpuFabric::nextEventCycle(Cycle now) const
+{
+    if (idle()) {
+        return kNeverCycle;
+    }
+    // A landed request waits on a bank slot, which has no known time:
+    // wake the next cycle. A queued packet waits for its wire to clear,
+    // which pump() tests as backlog() == 0; waking one cycle before the
+    // booked backlog runs out keeps float truncation from ever making
+    // the wake late. Wires deliver in FIFO order, so each link's front
+    // is its earliest delivery.
+    Cycle wake = kNeverCycle;
+    for (const std::vector<Link> *links : {&requestLinks_, &responseLinks_}) {
+        for (const Link &link : *links) {
+            if (!link.landed.empty()) {
+                return now + 1;
+            }
+            if (!link.queue.empty()) {
+                const Cycle backlog = link.wire.backlog(now);
+                wake = std::min(wake, now + (backlog > 1 ? backlog - 1 : 1));
+            }
+            if (!link.inFlight.empty()) {
+                wake = std::min(wake, link.inFlight.front().dueAt);
+            }
         }
     }
-    for (const Link &link : responseLinks_) {
-        if (!link.queue.empty() || !link.inFlight.empty()) {
-            return false;
-        }
+    return wake == kNeverCycle ? wake : std::max(wake, now + 1);
+}
+
+uint64_t
+InterGpuFabric::readsInFlight() const
+{
+    uint64_t n = responsesInFlight();
+    forEachPacket(requestLinks_,
+                  [&](const MemRequest &req) { n += !req.write; });
+    return n;
+}
+
+bool
+InterGpuFabric::lineInFlightFor(uint32_t device, uint32_t sm,
+                                Addr line) const
+{
+    bool found = false;
+    auto match = [&](const MemRequest &req) {
+        found |= req.srcDevice == device && req.smId == sm &&
+            req.line == line && !req.write;
+    };
+    forEachPacket(requestLinks_, match);
+    forEachPacket(responseLinks_, match);
+    // Delivered to the owner: queued, merged or answering in its L2. The
+    // L2 keys requesters by SM id alone, so a same-numbered SM of a
+    // third device can mask a leak here, never invent one.
+    for (uint32_t peer = 0; peer < numDevices_ && !found; ++peer) {
+        found = peer != device && devices_[peer] != nullptr &&
+            devices_[peer]->l2().lineInFlightFor(sm, line);
     }
-    return true;
+    return found;
 }
 
 uint64_t
@@ -284,17 +372,8 @@ void
 InterGpuFabric::countInFlightByStream(
     SmallFlatMap<StreamId, uint64_t> &out) const
 {
-    for (const Link &link : requestLinks_) {
-        for (const MemRequest &req : link.queue) {
-            out[req.stream]++;
-        }
-        for (const Packet &p : link.inFlight) {
-            out[p.req.stream]++;
-        }
-        for (const MemRequest &req : link.landed) {
-            out[req.stream]++;
-        }
-    }
+    forEachPacket(requestLinks_,
+                  [&](const MemRequest &req) { out[req.stream]++; });
 }
 
 double

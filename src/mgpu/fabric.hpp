@@ -90,10 +90,14 @@ class InterGpuFabric : public RemoteMemPort
      * the requesting SMs, then pump admitted packets onto the wires.
      * Must run before the device ticks of the same cycle.
      */
-    void step(Cycle now);
+    void step(Cycle now) override;
 
-    /** True when no packet is queued, on a wire, or parked anywhere. */
-    bool idle() const;
+    bool idle() const override;
+    uint64_t activityCount() const override;
+    Cycle nextEventCycle(Cycle now) const override;
+    uint64_t readsInFlight() const override;
+    bool lineInFlightFor(uint32_t device, uint32_t sm,
+                         Addr line) const override;
 
     // --- Counters (audit + fig17) -----------------------------------------
 
@@ -176,6 +180,9 @@ class InterGpuFabric : public RemoteMemPort
     uint64_t bytesTransferred_ = 0;
     uint64_t pageMigrations_ = 0;
     uint64_t migratedBytes_ = 0;
+
+    /** Per-source "refused this cycle" scratch for step(), reused. */
+    std::vector<uint8_t> blockedScratch_;
 };
 
 } // namespace mgpu

@@ -83,56 +83,37 @@ MultiGpu::setEngine(const engine::EngineConfig &engine)
     }
 }
 
-void
-MultiGpu::tick()
+MultiGpu::RunResult
+MultiGpu::run(Cycle max_cycles, const integrity::RunOptions &opts)
 {
-    ++cycle_;
-    // Fabric first: deliveries land in bank queues / SMs before the
-    // device's own memory phase and L2 step of the same cycle, mirroring
-    // the submit-before-step order inside one device. Everything here is
-    // main-thread serial; only SM stepping inside each device's tick is
-    // sharded, so determinism is per-device and composes.
-    fabric_->step(cycle_);
+    fatal_if(opts.telemetry != nullptr,
+             "attach telemetry per device (Gpu::setTelemetry)");
+    std::vector<Gpu *> devices;
     for (auto &gpu : devices_) {
-        gpu->tick();
+        devices.push_back(gpu.get());
     }
-}
-
-bool
-MultiGpu::done() const
-{
-    if (!fabric_->idle()) {
-        return false;
+    RunResult result;
+    static_cast<Gpu::RunResult &>(result) = Gpu::runMachine(
+        devices, fabric_.get(), max_cycles, opts,
+        [this](Cycle now,
+               std::vector<integrity::InvariantViolation> &out) {
+            audit(now, out);
+        });
+    if (result.hang) {
+        result.violations = result.hang->violations;
+    } else if (opts.auditInterval != 0) {
+        audit(now(), result.violations);
+        result.completed &= result.violations.empty();
     }
-    for (const auto &gpu : devices_) {
-        if (!gpu->done()) {
-            return false;
-        }
-    }
-    return true;
+    return result;
 }
 
 MultiGpu::RunResult
 MultiGpu::run(Cycle max_cycles, Cycle audit_interval)
 {
-    RunResult result;
-    while (cycle_ < max_cycles && !done()) {
-        tick();
-        if (audit_interval != 0 && cycle_ % audit_interval == 0) {
-            audit(cycle_, result.violations);
-            if (!result.violations.empty()) {
-                result.cycles = cycle_;
-                return result;
-            }
-        }
-    }
-    result.cycles = cycle_;
-    result.completed = done();
-    if (audit_interval != 0) {
-        audit(cycle_, result.violations);
-        result.completed &= result.violations.empty();
-    }
-    return result;
+    integrity::RunOptions opts;
+    opts.auditInterval = audit_interval;
+    return run(max_cycles, opts);
 }
 
 StatsRegistry

@@ -48,8 +48,9 @@ struct MultiGpuConfig
 
 /**
  * Top level of a multi-GPU machine: owns N Gpu devices and the
- * InterGpuFabric between them, ticks them in lockstep (fabric first,
- * then devices in id order — all serial on the main thread, so the
+ * InterGpuFabric between them, runs them through the same loop as a
+ * single GPU (Gpu::runMachine: lockstep ticks, fabric first, then
+ * devices in id order — all serial on the main thread, so the
  * per-device parallel engines keep threads 1/2/4 byte-identical), and
  * closes the conservation identities machine-wide.
  */
@@ -76,29 +77,32 @@ class MultiGpu
      */
     AddressSpace heapFor(uint32_t d, Addr local_base = 0x1000'0000ull) const;
 
-    /** Configure every device's cycle engine (before the first tick). */
+    /**
+     * Configure every device's cycle engine (before the first tick);
+     * fastForward there arms the machine-wide idle jump.
+     */
     void setEngine(const engine::EngineConfig &engine);
 
-    /** Advance the machine one cycle (fabric, then devices in id order). */
-    void tick();
+    /** The machine clock (every device runs in lockstep with it). */
+    Cycle now() const { return devices_.front()->now(); }
 
-    /** Every device drained and no packet left on the fabric. */
-    bool done() const;
-
-    Cycle now() const { return cycle_; }
-
-    struct RunResult
+    /** Gpu::RunResult plus every audit violation that stopped the run. */
+    struct RunResult : Gpu::RunResult
     {
-        Cycle cycles = 0;
-        bool completed = false;
         std::vector<integrity::InvariantViolation> violations;
     };
 
     /**
-     * Run until done or @p max_cycles elapse. A non-zero
-     * @p audit_interval runs the machine-wide counter audit at that
-     * cadence (and once at the end); any violation stops the run.
+     * Run until every device drains and the fabric is empty, or
+     * @p max_cycles elapse, through Gpu::runMachine: @p opts arms the
+     * watchdog, cancellation and the machine-wide counter audit
+     * (auditInterval, plus once at the end unless the watchdog or an
+     * audit already stopped the run); any violation stops the run and
+     * is listed in RunResult::violations.
      */
+    RunResult run(Cycle max_cycles, const integrity::RunOptions &opts);
+
+    /** run() with only the machine-wide audit, every @p audit_interval. */
     RunResult run(Cycle max_cycles = ~0ull, Cycle audit_interval = 0);
 
     /**
@@ -117,7 +121,6 @@ class MultiGpu
     MultiGpuConfig cfg_;
     std::unique_ptr<InterGpuFabric> fabric_;
     std::vector<std::unique_ptr<Gpu>> devices_;
-    Cycle cycle_ = 0;
 };
 
 } // namespace mgpu

@@ -1,16 +1,20 @@
 /**
  * @file
  * crisp::mgpu tests: remote round-trip accounting against the hand
- * model, page-migration conservation, thread-count determinism on a
- * two-GPU scenario, and the multi-GPU scenario schema (num_gpus,
- * placement, per-stream/per-buffer device fields, Poisson arrivals).
+ * model, page-migration conservation, the shared run loop on a machine
+ * (fast-forward vs ticked, sliced vs whole, thread counts, cancellation,
+ * the watchdog's hang report), and the multi-GPU scenario schema
+ * (num_gpus, placement, per-stream/per-buffer device fields, Poisson
+ * arrivals).
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <vector>
 
+#include "integrity/fault_injector.hpp"
 #include "mgpu/multi_gpu.hpp"
 #include "scenario/build.hpp"
 #include "scenario/scenario.hpp"
@@ -171,11 +175,20 @@ TEST(MgpuFabric, BoundedQueueRefusesThenDrains)
 namespace
 {
 
-/** Per-run fingerprint for the determinism test. */
+/** Counter-audit cadence of the scenario runs (the golden benches'). */
+constexpr Cycle kAudit = 4096;
+
+/**
+ * What a run leaves behind: its cycle count, every stream's merged
+ * StreamStats and the fabric's counters. Two runs that claim identical
+ * output must agree on all of it.
+ */
 struct RunPrint
 {
     Cycle cycles = 0;
     std::vector<uint64_t> counters;
+    /** Cycles each device fast-forwarded (not part of the output). */
+    std::vector<uint64_t> ffCycles;
 
     bool
     operator==(const RunPrint &o) const
@@ -185,56 +198,243 @@ struct RunPrint
 };
 
 RunPrint
-runScenarioWithThreads(const scenario::Scenario &scn, uint32_t threads)
+printOf(const mgpu::MultiGpu &machine, Cycle cycles)
 {
+    RunPrint print;
+    print.cycles = cycles;
+    const StatsRegistry merged = machine.mergedStats();
+    for (const auto &[id, st] : merged.allStreams()) {
+        print.counters.insert(
+            print.counters.end(),
+            {id, st.cycles, st.instructions, st.warpsLaunched,
+             st.ctasLaunched, st.kernelsCompleted, st.l1Accesses, st.l1Hits,
+             st.l1MshrMerges, st.l1TexAccesses, st.l2Accesses, st.l2Hits,
+             st.l2MshrMerges, st.dramReads, st.dramWrites, st.smemAccesses,
+             st.smemBankConflicts, st.remoteAccesses, st.remoteResponses,
+             st.pageMigrations, st.firstCycle, st.lastCycle});
+    }
+    const mgpu::InterGpuFabric &f = machine.fabric();
+    print.counters.insert(
+        print.counters.end(),
+        {f.requestsAccepted(), f.requestsDelivered(), f.responsesAccepted(),
+         f.responsesDelivered(), f.bytesTransferred(), f.pageMigrations(),
+         f.migratedBytes()});
+    return print;
+}
+
+const scenario::Scenario &
+mgpuScenario()
+{
+    static const scenario::Scenario scn = [] {
+        scenario::Scenario s;
+        scenario::ScenarioError err;
+        const bool ok = scenario::loadScenarioFile(
+            std::string(CRISP_SCENARIO_DIR) + "/game_inference_mgpu.json",
+            s, err);
+        EXPECT_TRUE(ok) << err.str();
+        return s;
+    }();
+    return scn;
+}
+
+/** How to run the two-GPU scenario. */
+struct RunSpec
+{
+    uint32_t threads = 1;
+    bool fastForward = false;
+    uint32_t migrateAfter = 0;
+    /** Non-zero: run to multiples of this, one run() call each. */
+    Cycle slice = 0;
+};
+
+RunPrint
+runScenario(const RunSpec &spec)
+{
+    const scenario::Scenario &scn = mgpuScenario();
     mgpu::MultiGpuConfig cfg;
     cfg.numGpus = scn.gpu.numGpus;
     cfg.gpu = scenario::gpuConfigFor(scn);
+    cfg.fabric.migrateAfter = spec.migrateAfter;
     mgpu::MultiGpu machine(cfg);
     engine::EngineConfig ec;
-    ec.threads = threads;
+    ec.threads = spec.threads;
+    ec.fastForward = spec.fastForward;
     machine.setEngine(ec);
     scenario::Materialized mat;
-    const scenario::MultiSubmitResult sr =
-        scenario::submitScenarioMulti(scn, machine, mat);
-    const auto r = machine.run(50'000'000, 0);
-    EXPECT_TRUE(r.completed);
+    scenario::submitScenarioMulti(scn, machine, mat);
 
-    RunPrint print;
-    print.cycles = r.cycles;
-    StatsRegistry merged = machine.mergedStats();
-    for (StreamId id : {sr.gfx, sr.cmp}) {
-        const StreamStats &st = merged.stream(id);
-        print.counters.push_back(st.instructions);
-        print.counters.push_back(st.l1Accesses);
-        print.counters.push_back(st.l2Accesses);
-        print.counters.push_back(st.dramReads);
-        print.counters.push_back(st.remoteAccesses);
-        print.counters.push_back(st.remoteResponses);
+    mgpu::MultiGpu::RunResult r;
+    if (spec.slice == 0) {
+        r = machine.run(50'000'000, kAudit);
+    } else {
+        for (Cycle limit = spec.slice;; limit += spec.slice) {
+            r = machine.run(limit, kAudit);
+            EXPECT_EQ(r.cycles, r.completed ? r.cycles : limit);
+            if (r.completed || !r.violations.empty() ||
+                limit >= 50'000'000) {
+                break;
+            }
+        }
     }
-    print.counters.push_back(machine.fabric().requestsAccepted());
-    print.counters.push_back(machine.fabric().bytesTransferred());
+    EXPECT_TRUE(r.completed);
+    for (const auto &v : r.violations) {
+        ADD_FAILURE() << v.check << ": " << v.detail;
+    }
+    RunPrint print = printOf(machine, r.cycles);
+    for (uint32_t d = 0; d < machine.numGpus(); ++d) {
+        print.ffCycles.push_back(machine.device(d).fastForwardCycles());
+    }
     return print;
+}
+
+/** The ticked, one-thread run every fast-forwarded variant must match. */
+const RunPrint &
+tickedReference()
+{
+    static const RunPrint ref = runScenario({});
+    return ref;
+}
+
+void
+expectBothDevicesJumped(const RunPrint &print)
+{
+    ASSERT_EQ(print.ffCycles.size(), 2u);
+    EXPECT_GT(print.ffCycles[0], 0u);
+    EXPECT_GT(print.ffCycles[1], 0u);
 }
 
 } // namespace
 
+TEST(MgpuFastForward, MatchesTickedRunOnTwoGpuScenario)
+{
+    const RunPrint &ticked = tickedReference();
+    const RunPrint jumped = runScenario({.fastForward = true});
+    expectBothDevicesJumped(jumped);
+    EXPECT_EQ(jumped, ticked);
+}
+
+TEST(MgpuFastForward, MatchesTickedRunWithPageMigration)
+{
+    const RunPrint ticked = runScenario({.migrateAfter = 4});
+    const RunPrint jumped =
+        runScenario({.fastForward = true, .migrateAfter = 4});
+    expectBothDevicesJumped(jumped);
+    EXPECT_EQ(jumped, ticked);
+    EXPECT_NE(ticked, tickedReference()) << "migration changed nothing";
+}
+
+TEST(MgpuFastForward, SlicedRunMatchesWholeRun)
+{
+    const RunPrint whole = runScenario({.fastForward = true});
+    const RunPrint sliced =
+        runScenario({.fastForward = true, .slice = 65536});
+    expectBothDevicesJumped(sliced);
+    EXPECT_EQ(sliced, whole);
+}
+
 TEST(MgpuDeterminism, ThreadCountsAgreeOnTwoGpuScenario)
 {
-    scenario::Scenario scn;
-    scenario::ScenarioError err;
-    ASSERT_TRUE(scenario::loadScenarioFile(
-        std::string(CRISP_SCENARIO_DIR) + "/game_inference_mgpu.json", scn,
-        err))
-        << err.str();
-    ASSERT_EQ(scn.gpu.numGpus, 2u);
-    ASSERT_TRUE(scn.compute.schedule.poisson);
+    ASSERT_EQ(mgpuScenario().gpu.numGpus, 2u);
+    ASSERT_TRUE(mgpuScenario().compute.schedule.poisson);
+    const RunPrint &ticked = tickedReference();
+    for (uint32_t threads : {1u, 2u, 4u}) {
+        const RunPrint jumped =
+            runScenario({.threads = threads, .fastForward = true});
+        expectBothDevicesJumped(jumped);
+        EXPECT_EQ(jumped, ticked) << threads << " threads";
+    }
+}
 
-    const RunPrint t1 = runScenarioWithThreads(scn, 1);
-    const RunPrint t2 = runScenarioWithThreads(scn, 2);
-    const RunPrint t4 = runScenarioWithThreads(scn, 4);
-    EXPECT_EQ(t1, t2);
-    EXPECT_EQ(t1, t4);
+TEST(MgpuRun, PresetCancelStopsAtACleanBoundary)
+{
+    mgpu::MultiGpu machine(smallDual());
+    engine::EngineConfig ec;
+    ec.fastForward = true;
+    machine.setEngine(ec);
+    AddressSpace heap = machine.heapFor(0);
+    const uint64_t bytes = 1 << 20;
+    const Addr base = heap.alloc(bytes);
+    Gpu &dev1 = machine.device(1);
+    dev1.enqueueKernel(dev1.createStream("compute"),
+                       readerKernel(base, bytes));
+
+    // Part-way, with remote traffic in flight.
+    const auto first = machine.run(3000, 1);
+    ASSERT_FALSE(first.completed);
+    ASSERT_TRUE(first.violations.empty());
+    ASSERT_GT(machine.fabric().requestsInFlight() +
+                  machine.fabric().responsesInFlight(),
+              0u);
+
+    const std::atomic<bool> cancel{true};
+    integrity::RunOptions opts;
+    opts.auditInterval = 1;
+    opts.checkInterval = 1;
+    opts.cancel = &cancel;
+    const auto stopped = machine.run(4'000'000, opts);
+    EXPECT_TRUE(stopped.cancelled);
+    EXPECT_FALSE(stopped.completed);
+    EXPECT_FALSE(stopped.hang.has_value());
+    EXPECT_EQ(stopped.cycles, first.cycles);
+    EXPECT_EQ(machine.now(), first.cycles);
+    EXPECT_TRUE(stopped.violations.empty());   // the end-of-run audit
+
+    // Nothing was lost: the run resumes and drains.
+    const auto rest = machine.run(4'000'000, 1);
+    EXPECT_TRUE(rest.completed);
+    EXPECT_TRUE(rest.violations.empty());
+}
+
+TEST(MgpuRun, FrozenSmOnSecondDeviceEndsInAHangReport)
+{
+    for (const bool frozen : {false, true}) {
+        SCOPED_TRACE(frozen ? "frozen" : "control");
+        mgpu::MultiGpu machine(smallDual());
+        engine::EngineConfig ec;
+        ec.fastForward = true;   // disarmed by the fault injector
+        machine.setEngine(ec);
+        integrity::FaultConfig fc;
+        if (frozen) {
+            fc.freezeSm = 1;
+            fc.freezeAtCycle = 500;
+        }
+        integrity::FaultInjector inj(fc);
+        machine.device(1).setFaultInjector(&inj);
+
+        // Device 1 reads weights homed on device 0, so the watchdog's
+        // conservation and leak checks see remote misses in flight.
+        AddressSpace heap = machine.heapFor(0);
+        const uint64_t bytes = 1 << 20;
+        const Addr base = heap.alloc(bytes);
+        Gpu &dev1 = machine.device(1);
+        dev1.enqueueKernel(dev1.createStream("compute"),
+                           readerKernel(base, bytes));
+
+        integrity::RunOptions opts;
+        opts.checkInterval = 64;
+        opts.hangThreshold = 4000;
+        opts.auditInterval = 64;
+        const auto r = machine.run(10'000'000, opts);
+        EXPECT_EQ(machine.device(0).fastForwardCycles(), 0u);
+        EXPECT_EQ(machine.device(1).fastForwardCycles(), 0u);
+        if (!frozen) {
+            EXPECT_TRUE(r.completed);
+            EXPECT_FALSE(r.hang.has_value())
+                << (r.hang ? r.hang->render() : "");
+            EXPECT_GT(machine.fabric().requestsAccepted(), 0u);
+            continue;
+        }
+        ASSERT_FALSE(r.completed);
+        ASSERT_TRUE(r.hang.has_value());
+        EXPECT_LT(r.cycles, 100'000u);
+        EXPECT_NE(r.hang->reason.find("device 1: no forward progress"),
+                  std::string::npos)
+            << r.hang->reason;
+        EXPECT_TRUE(r.violations.empty());
+        ASSERT_EQ(r.hang->sms.size(), 4u);
+        EXPECT_TRUE(r.hang->sms[1].issueFrozen);
+        EXPECT_EQ(r.hang->sms[1].dominantStall, "frozen");
+    }
 }
 
 TEST(MgpuSchedule, PoissonBasesAreSeededAndMonotonic)
