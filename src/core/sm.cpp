@@ -64,6 +64,7 @@ Sm::priorityOf(StreamId stream) const
 void
 Sm::refreshPriorityCaches()
 {
+    issueWake_ = 0;   // Issue order and LDST limits may have changed.
     for (WarpState &warp : warps_) {
         if (!warp.live) {
             continue;
@@ -231,6 +232,7 @@ Sm::launchCta(const KernelInfo &kernel, KernelId kernel_id,
         ctaFreeSlots_.pop_back();
     }
     liveCtaSlots_.push_back(key);
+    issueWake_ = 0;   // The new warps have not been walked yet.
     CtaState &cta = ctaPool_[key];
     cta.stream = kernel.stream;
     cta.kernel = kernel_id;
@@ -550,7 +552,7 @@ Sm::issueMemory(WarpState &warp, const TraceInstr &instr, Cycle now)
 }
 
 bool
-Sm::tryIssue(WarpState &warp, Cycle now)
+Sm::tryIssue(WarpState &warp, Cycle now, Cycle &wake)
 {
     if (!warp.live || warp.atBarrier || warp.pc >= warp.trace.instrs.size()) {
         return false;
@@ -580,6 +582,7 @@ Sm::tryIssue(WarpState &warp, Cycle now)
         // Cached pool minimum: a busy pool (the common rejection) is one
         // compare instead of a scan.
         if (unitMinFree_[static_cast<size_t>(cls)] > now) {
+            wake = std::min(wake, unitMinFree_[static_cast<size_t>(cls)]);
             return false;
         }
         auto &pool = unitFreeAt_[static_cast<size_t>(cls)];
@@ -596,6 +599,7 @@ Sm::tryIssue(WarpState &warp, Cycle now)
       }
       case OpClass::MemShared: {
         if (smemPortFreeAt_ > now) {
+            wake = std::min(wake, smemPortFreeAt_);
             return false;
         }
         const uint32_t serial = smemConflictCycles(instr);
@@ -797,6 +801,7 @@ Sm::stepLdstOne(Cycle now)
     if (entry.lines.empty()) {
         recycleLines(std::move(entry.lines));
         ldstQueue_.pop_front();
+        issueWake_ = 0;   // A warp held by the queue limit may go now.
     }
     return LdstOutcome::Progress;
 }
@@ -926,7 +931,7 @@ Sm::probe(Cycle now) const
 }
 
 bool
-Sm::auditAccounting(std::string *detail) const
+Sm::auditAccounting(Cycle now, std::string *detail) const
 {
     // Runs on every watchdog tick (possibly every cycle): accumulate on
     // the stack, no per-call allocation.
@@ -998,6 +1003,22 @@ Sm::auditAccounting(std::string *detail) const
                 expect.registers, expect.smemBytes, expect.warps));
         }
     }
+    // Missed wake: step(now + 1) skips the scheduler walk while
+    // issueWake_ lies beyond it, so no warp may be able to issue then.
+    if (issueWake_ > now + 1) {
+        const IntegrityProbe p = probe(now + 1);
+        if (p.ready != 0) {
+            const std::string until = issueWake_ == kNeverCycle
+                ? std::string("an event")
+                : formatMessage("cycle %llu", static_cast<unsigned long long>(
+                                                  issueWake_));
+            return fail(formatMessage(
+                "SM %u issue stage asleep until %s but %u warp(s) can "
+                "issue at cycle %llu (missed wake event)", smId_,
+                until.c_str(), p.ready,
+                static_cast<unsigned long long>(now + 1)));
+        }
+    }
     return true;
 }
 
@@ -1033,6 +1054,7 @@ Sm::step(Cycle now)
             warps_[(packed >> 8) & 0xffff].pendingWrites.reset(reg);
         }
         ++workCount_;
+        issueWake_ = 0;   // A scoreboard stall may have cleared.
     }
 
     // Count active cycles per stream (streams with live warps this cycle).
@@ -1045,10 +1067,19 @@ Sm::step(Cycle now)
     // Fault injection: a frozen issue stage stops dead while writebacks
     // and in-flight memory continue, so the SM quietly stops committing —
     // the hang class the forward-progress watchdog exists to diagnose.
-    if (issueFrozen_) {
+    //
+    // Issue-stage sleep: the last walk issued nothing and no wake event
+    // has happened since. A walk that issues nothing changes no state
+    // (every rejection in tryIssue returns before mutating anything, and
+    // greedySlot_ moves only on an issue), so walking again before a
+    // recorded timer expires or an event resets issueWake_ would fail
+    // the same way and skipping it is exact.
+    if (issueFrozen_ || now < issueWake_) {
         stepping_ = false;
         return;
     }
+    Cycle wake = kNeverCycle;
+    bool issued = false;
 
     // GTO issue with stream priorities: each scheduler owns the slots with
     // slot % numSchedulers == id and picks, in order, by (stream priority,
@@ -1074,20 +1105,22 @@ Sm::step(Cycle now)
                 const uint32_t slot = order[i];
                 if (greedy_pending && warps_[slot].prio == greedy_prio) {
                     greedy_pending = false;
-                    if (tryIssue(warps_[greedy], now)) {
+                    if (tryIssue(warps_[greedy], now, wake)) {
                         greedySlot_[sched] = warps_[greedy].live
                             ? greedy
                             : kNoSlotIndex;
+                        issued = true;
                         break;
                     }
                 }
                 if (slot == greedy) {
                     continue;
                 }
-                if (tryIssue(warps_[slot], now)) {
+                if (tryIssue(warps_[slot], now, wake)) {
                     greedySlot_[sched] = warps_[slot].live
                         ? slot
                         : kNoSlotIndex;
+                    issued = true;
                     break;
                 }
             }
@@ -1113,14 +1146,19 @@ Sm::step(Cycle now)
                              });
             for (size_t i = 0; i < candScratch_.size(); ++i) {
                 const uint32_t slot = candScratch_[i];
-                if (tryIssue(warps_[slot], now)) {
+                if (tryIssue(warps_[slot], now, wake)) {
                     greedySlot_[sched] = warps_[slot].live
                         ? slot
                         : kNoSlotIndex;
+                    issued = true;
                     break;
                 }
             }
         }
+    }
+    // Sleep until the earliest timer the walk met, or until an event.
+    if (!issued) {
+        issueWake_ = wake;
     }
     stepping_ = false;
 }
@@ -1206,45 +1244,12 @@ Sm::nextWorkCycle(Cycle now) const
         return wake;
     }
 
-    // A warp whose next instruction waits only on an execution resource
-    // wakes up when that resource frees; one blocked on the scoreboard
-    // wakes with the writeback already considered above; one blocked on
-    // memory wakes with the L2 response (owned by the L2 side).
-    for (const auto &warp : warps_) {
-        if (!warp.live || warp.atBarrier) {
-            continue;
-        }
-        if (warp.pc >= warp.trace.instrs.size()) {
-            return now + 1;   // Retires at its next issue opportunity.
-        }
-        const TraceInstr &instr = warp.trace.instrs[warp.pc];
-        bool hazard = instr.hasDst() && warp.pendingWrites.test(instr.dst);
-        for (uint8_t src : instr.srcs) {
-            hazard = hazard ||
-                     (src != kNoReg && warp.pendingWrites.test(src));
-        }
-        if (hazard) {
-            continue;   // Wakes via a writeback (or a memory response).
-        }
-        const OpClass cls = opcodeClass(instr.opcode);
-        switch (cls) {
-          case OpClass::FP32:
-          case OpClass::INT:
-          case OpClass::SFU:
-          case OpClass::Tensor: {
-            const auto &pool = unitFreeAt_[static_cast<size_t>(cls)];
-            consider(*std::min_element(pool.begin(), pool.end()));
-            break;
-          }
-          case OpClass::MemShared:
-            consider(smemPortFreeAt_);
-            break;
-          default:
-            // Issuable right now (memory ops with queue room, barriers,
-            // control, const loads): the very next cycle does work.
-            return now + 1;
-        }
-    }
+    // The issue stage's own wake-up: the earliest execution-unit or
+    // shared-memory-port timer its last walk met. Scoreboard stalls wake
+    // with the writeback considered above, memory stalls with the L2
+    // response (owned by the L2 side); 0 (an event since the walk) means
+    // the next cycle.
+    consider(issueWake_);
     return wake;
 }
 

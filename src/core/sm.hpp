@@ -161,13 +161,22 @@ class Sm
 
     /**
      * Recompute resource accounting from live CTAs and compare against the
-     * incrementally tracked totals, per-stream usage and SM capacity.
+     * incrementally tracked totals, per-stream usage and SM capacity, and
+     * check that an issue stage asleep past @p now + 1 has no warp that
+     * could issue at @p now + 1 (a missed wake event).
      * @return false (with @p detail filled) on any mismatch.
      */
-    bool auditAccounting(std::string *detail) const;
+    bool auditAccounting(Cycle now, std::string *detail) const;
 
     /** Fault injection: freeze or thaw this SM's issue stage. */
-    void setIssueFrozen(bool frozen) { issueFrozen_ = frozen; }
+    void
+    setIssueFrozen(bool frozen)
+    {
+        if (frozen != issueFrozen_) {
+            issueFrozen_ = frozen;
+            issueWake_ = 0;
+        }
+    }
     bool issueFrozen() const { return issueFrozen_; }
 
     /**
@@ -340,6 +349,19 @@ class Sm
     void flushShadowProfiler();
 
     /**
+     * True when step(@p now) has anything to do: a live warp or a due
+     * register writeback. Stepping an SM without either changes nothing,
+     * so the owner skips it.
+     */
+    bool
+    needsStep(Cycle now) const
+    {
+        return activeWarps_ != 0 ||
+               (!writebackHeap_.empty() &&
+                (writebackHeap_.front() >> 24) <= now);
+    }
+
+    /**
      * Monotone count of units of work done by this SM (issues, line
      * requests, writebacks, fabric sends). The cycle engine compares it
      * across a tick to detect machine-wide idle cycles.
@@ -348,9 +370,9 @@ class Sm
 
     /**
      * Earliest future cycle (> @p now) at which this SM can do work on
-     * its own: a due writeback, an execution unit or the shared-memory
-     * port freeing up for a waiting warp, or an issuable warp next
-     * cycle. Returns kNeverCycle when every path is blocked on memory
+     * its own: a due writeback, or the issue stage's wake-up (an
+     * execution unit or the shared-memory port freeing up for a waiting
+     * warp). Returns kNeverCycle when every path is blocked on memory
      * responses (the L2 side owns those wake-ups). Conservative answers
      * (too early) are always safe; the fast-forward logic takes the
      * minimum across all components.
@@ -418,7 +440,10 @@ class Sm
         std::vector<Addr> lines;    ///< Remaining lines to inject.
     };
 
-    bool tryIssue(WarpState &warp, Cycle now);
+    /** Issue @p warp's next instruction if it can go at @p now. A
+     *  rejection changes no state; one on a busy execution pool or the
+     *  shared-memory port lowers @p wake to the cycle it frees. */
+    bool tryIssue(WarpState &warp, Cycle now, Cycle &wake);
     void issueMemory(WarpState &warp, const TraceInstr &instr, Cycle now);
     size_t ldstLimitFor(StreamId stream) const;
     int priorityOf(StreamId stream) const;
@@ -471,6 +496,14 @@ class Sm
     uint64_t warpAgeCounter_ = 0;
     uint32_t activeWarps_ = 0;
     bool issueFrozen_ = false;
+    /**
+     * Issue-stage sleep: no warp can issue before this cycle unless an
+     * event resets it to 0 (a writeback commit, an LDST entry retiring,
+     * a CTA launch, a priority change, a freeze toggle). Set after a
+     * scheduler walk that issued nothing; kNeverCycle when only an event
+     * can wake a warp.
+     */
+    Cycle issueWake_ = 0;
     /** First quota breach observed at CTA launch (sticky; "" = none). */
     std::string quotaBreach_;
 

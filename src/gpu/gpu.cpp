@@ -60,6 +60,7 @@ Gpu::Gpu(const GpuConfig &cfg) : cfg_(cfg)
         allSms_.push_back(i);
     }
     memPhaseScratch_.reserve(cfg_.numSms);
+    stepScratch_.reserve(cfg_.numSms);
     setEngine(cfg_.engine);
 }
 
@@ -561,11 +562,15 @@ Gpu::tick()
     {
         telemetry::SelfProfiler::Scope prof_scope(
             profiler_, telemetry::Component::SmIssue);
+        // An SM with no live warp and no due writeback has nothing to
+        // step (Sm::needsStep); both engines skip it.
         if (engine_.staged()) {
             stepSmsStaged();
         } else {
             for (auto &sm : sms_) {
-                sm->step(cycle_);
+                if (sm->needsStep(cycle_)) {
+                    sm->step(cycle_);
+                }
             }
         }
     }
@@ -595,19 +600,20 @@ Gpu::memoryPhase()
     // the arbiter between a ticked and a jumped run, and the serial and
     // staged engines share this exact phase: the request stream the L2
     // sees is identical for any thread count.
+    // Only SMs with queued work open a phase: an SM without any cannot
+    // gain some before the phase ends, and beginMemPhase() re-arms its
+    // budgets the first cycle it has work again.
     memPhaseScratch_.clear();
     const size_t n = sms_.size();
     const size_t start = static_cast<size_t>(cycle_ % n);
-    bool any_work = false;
     for (size_t i = 0; i < n; ++i) {
         Sm *sm = sms_[(start + i) % n].get();
-        sm->beginMemPhase(cycle_);
         if (sm->hasMemPhaseWork()) {
+            sm->beginMemPhase(cycle_);
             memPhaseScratch_.push_back(sm);
-            any_work = true;
         }
     }
-    if (!any_work) {
+    if (memPhaseScratch_.empty()) {
         return;
     }
     telemetry::SelfProfiler::Scope prof_scope(
@@ -647,6 +653,15 @@ Gpu::stepSmsStaged()
     // memoryPhase(), serially on the main thread, so workers below never
     // touch the fabric.
 
+    // Only SMs with something to step take part; the others leave their
+    // shadows and CTA-done lists empty, so they have nothing to merge.
+    stepScratch_.clear();
+    for (auto &sm : sms_) {
+        if (sm->needsStep(cycle_)) {
+            stepScratch_.push_back(sm.get());
+        }
+    }
+
     // Sharded SM stepping over the SM-private stages (writebacks, issue,
     // execute). Workers touch only their own SM's state: stats and
     // profiler deltas land in per-SM shadows, CTA-done callbacks in
@@ -658,21 +673,21 @@ Gpu::stepSmsStaged()
         // small-buffer storage, so the per-cycle dispatch never allocates.
         pool_->run([this](uint32_t lane) {
             const uint32_t lanes = pool_->lanes();
-            const size_t count = sms_.size();
+            const size_t count = stepScratch_.size();
             for (size_t i = lane; i < count; i += lanes) {
-                sms_[i]->step(cycle_);
+                stepScratch_[i]->step(cycle_);
             }
         });
     } else {
         // Staged semantics at one thread: the determinism baseline.
-        for (auto &sm : sms_) {
+        for (Sm *sm : stepScratch_) {
             sm->step(cycle_);
         }
     }
 
     // Post-barrier merge, main thread, SM-id order — the same order the
     // serial loop delivered CTA completions and accumulated stats in.
-    for (auto &sm : sms_) {
+    for (Sm *sm : stepScratch_) {
         sm->flushStagedCtaDones();
         sm->flushShadowStats();
         sm->flushShadowProfiler();

@@ -501,6 +501,8 @@ class Gpu : public MemFabricPort
     std::vector<uint8_t> issueLaunchedScratch_;
     /** Arbitration rotation scratch for memoryPhase(), reused per tick. */
     std::vector<Sm *> memPhaseScratch_;
+    /** SMs the staged engine steps this tick, in SM-id order. */
+    std::vector<Sm *> stepScratch_;
     std::vector<GpuController *> controllers_;
     integrity::FaultInjector *faultInjector_ = nullptr;
     PartitionConfig partition_;

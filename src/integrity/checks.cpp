@@ -68,7 +68,7 @@ checkSmAccounting(const std::vector<const Sm *> &sms, Cycle now,
 {
     for (const Sm *sm : sms) {
         std::string detail;
-        if (!sm->auditAccounting(&detail)) {
+        if (!sm->auditAccounting(now, &detail)) {
             out.push_back({"sm-accounting", detail, now});
         }
     }

@@ -36,7 +36,11 @@ void checkConservation(const std::vector<const Sm *> &sms,
                        uint64_t fabric_reads, Cycle now,
                        std::vector<InvariantViolation> &out);
 
-/** Per-SM resource accounting audit (tracked vs recomputed vs quota). */
+/**
+ * Per-SM resource accounting audit (tracked vs recomputed vs quota), plus
+ * the issue-stage missed-wake check (an SM asleep past @p now + 1 with a
+ * warp that could issue then).
+ */
 void checkSmAccounting(const std::vector<const Sm *> &sms, Cycle now,
                        std::vector<InvariantViolation> &out);
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 
 #include "core/sm.hpp"
@@ -48,19 +49,28 @@ class TestFabric : public MemFabricPort
     std::multimap<Cycle, MemRequest> pending_;
 };
 
+/** One CTA of one warp per trace, warp i in warp slot i. */
 KernelInfo
-oneWarpKernel(WarpTrace warp, uint32_t regs = 16)
+ctaKernel(std::vector<WarpTrace> warps, uint32_t regs = 16)
 {
     CtaTrace cta;
-    cta.warps.push_back(std::move(warp));
+    cta.warps = std::move(warps);
     KernelInfo k;
     k.name = "test";
     k.grid = {1, 1, 1};
-    k.cta = {32, 1, 1};
+    k.cta = {static_cast<uint32_t>(32 * cta.warps.size()), 1, 1};
     k.regsPerThread = regs;
     k.source = std::make_shared<VectorCtaSource>(
         std::vector<CtaTrace>{std::move(cta)});
     return k;
+}
+
+KernelInfo
+oneWarpKernel(WarpTrace warp, uint32_t regs = 16)
+{
+    std::vector<WarpTrace> warps;
+    warps.push_back(std::move(warp));
+    return ctaKernel(std::move(warps), regs);
 }
 
 struct SmHarness
@@ -71,7 +81,12 @@ struct SmHarness
     std::unique_ptr<Sm> sm;
     Cycle now = 0;
 
-    explicit SmHarness(Cycle mem_delay = 100) : fabric(mem_delay)
+    explicit SmHarness(Cycle mem_delay = 100) : SmHarness(SmConfig{}, mem_delay)
+    {
+    }
+
+    SmHarness(const SmConfig &config, Cycle mem_delay)
+        : cfg(config), fabric(mem_delay)
     {
         sm = std::make_unique<Sm>(0, cfg, &fabric, &stats);
     }
@@ -396,6 +411,189 @@ TEST(SmTest, PerStreamOccupancyTracked)
     EXPECT_EQ(h.sm->usedThreadsOf(7), 32u);
     EXPECT_GT(h.sm->issuedInstrsOf(7), 0u);
     h.runToIdle(20000);
+}
+
+// --- Issue-stage sleep: one test per wake cause --------------------------
+//
+// Each test steps a standalone SM cycle by cycle and pins the cycle of
+// every issue against a hand-computed timeline. A missed wake shows as a
+// late (or never) issue; every cycle also runs the SM's audit, whose
+// missed-wake check must stay quiet.
+
+/** Instructions issued per cycle, for the cycles that issued any. */
+using Timeline = std::map<Cycle, uint64_t>;
+
+/**
+ * Step @p h until idle (at most @p budget cycles), calling @p after_step
+ * after each cycle, and return its issue timeline.
+ */
+Timeline
+issueTimeline(SmHarness &h,
+              const std::function<void(Cycle)> &after_step = {},
+              Cycle budget = 1000)
+{
+    Timeline issued;
+    uint64_t seen = 0;
+    const Cycle start = h.now;
+    while (!h.sm->idle() && h.now - start < budget) {
+        ++h.now;
+        h.sm->step(h.now);
+        h.fabric.step(*h.sm, h.now);
+        if (after_step) {
+            after_step(h.now);
+        }
+        std::string detail;
+        EXPECT_TRUE(h.sm->auditAccounting(h.now, &detail)) << detail;
+        const uint64_t total = h.stats.stream(0).instructions;
+        if (total != seen) {
+            issued[h.now] = total - seen;
+            seen = total;
+        }
+    }
+    EXPECT_TRUE(h.sm->idle()) << "SM still busy after " << budget
+                              << " cycles";
+    return issued;
+}
+
+TEST(SmIssueWake, BusyExecutionPoolWakesWhenAUnitFrees)
+{
+    // One unit, blocked 5 (FP32) or 6 (tensor) cycles per instruction;
+    // results land at +20, so the second, independent instruction waits
+    // only on the pool: issue at 1, then at 1 + interval, EXIT right
+    // after.
+    for (const auto &[op, expected] :
+         {std::pair{Opcode::FFMA, Timeline{{1, 1}, {6, 1}, {7, 1}}},
+          std::pair{Opcode::HMMA, Timeline{{1, 1}, {7, 1}, {8, 1}}}}) {
+        SmConfig cfg;
+        cfg.fp32Units = 1;
+        cfg.fp32Interval = 5;
+        cfg.fp32Latency = 20;
+        cfg.tensorUnits = 1;
+        cfg.tensorInterval = 6;
+        cfg.tensorLatency = 20;
+        SmHarness h(cfg, 100);
+        TraceBuilder tb(32);
+        tb.alu(op, 4).alu(op, 5).exit();
+        h.sm->launchCta(oneWarpKernel(tb.take()), 1, 0, h.now);
+        EXPECT_EQ(issueTimeline(h), expected) << opcodeName(op);
+    }
+}
+
+TEST(SmIssueWake, BusySharedMemoryPortWakesWhenItFrees)
+{
+    // A 32-way bank conflict holds the port for 32 cycles (1..32); the
+    // second LDS goes at 33. Its result is due at 1 + 24 + 31 = 56, so
+    // only the port timer can wake the warp in time.
+    SmHarness h;
+    TraceBuilder tb(32);
+    tb.memStrided(Opcode::LDS, 4, 0, 32 * 4, 4, DataClass::Compute);
+    tb.memStrided(Opcode::LDS, 5, 0, 4, 4, DataClass::Compute);
+    tb.exit();
+    h.sm->launchCta(oneWarpKernel(tb.take()), 1, 0, h.now);
+    EXPECT_EQ(issueTimeline(h), (Timeline{{1, 1}, {33, 1}, {34, 1}}));
+}
+
+TEST(SmIssueWake, FullLdstQueueWakesWhenTheEntryRetires)
+{
+    // A one-entry LDST queue holding a 32-line store: the LDST unit
+    // drains 4 lines a cycle over cycles 2..9 and retires the entry at
+    // 9, before that cycle's walk, so the second store issues at 9.
+    SmConfig cfg;
+    cfg.ldstQueueDepth = 1;
+    SmHarness h(cfg, 100);
+    TraceBuilder tb(32);
+    tb.memStrided(Opcode::STG, 0, 0x20000, kLineBytes, 4,
+                  DataClass::Compute);
+    tb.memStrided(Opcode::STG, 0, 0x40000, kLineBytes, 4,
+                  DataClass::Compute);
+    tb.exit();
+    h.sm->launchCta(oneWarpKernel(tb.take()), 1, 0, h.now);
+    EXPECT_EQ(issueTimeline(h), (Timeline{{1, 1}, {9, 1}, {10, 1}}));
+}
+
+TEST(SmIssueWake, ScoreboardStallWakesOnTheFillWriteback)
+{
+    // The load's line goes to the fabric at 2 and fills at 102; the
+    // writeback commits at the start of 103, when the dependent FFMA
+    // issues.
+    SmHarness h(/*mem_delay=*/100);
+    TraceBuilder tb(32);
+    tb.memUniform(Opcode::LDG, 4, 0x1000, 4, DataClass::Compute);
+    tb.alu(Opcode::FFMA, 5, 4, 4);
+    tb.exit();
+    h.sm->launchCta(oneWarpKernel(tb.take()), 1, 0, h.now);
+    EXPECT_EQ(issueTimeline(h), (Timeline{{1, 1}, {103, 1}, {104, 1}}));
+}
+
+TEST(SmIssueWake, BarrierReleaseWakesTheWaitingWarp)
+{
+    // Warp 0 (scheduler 0) waits at the barrier from cycle 1. Warp 1
+    // (scheduler 1) loads (fill at 102), uses it at 103 and arrives at
+    // 104, after scheduler 0's turn that cycle: warp 0 goes at 105,
+    // alongside warp 1's EXIT, and exits at 106.
+    std::vector<WarpTrace> warps(2);
+    {
+        TraceBuilder tb(32);
+        tb.bar().alu(Opcode::FFMA, 5, 1, 2).exit();
+        warps[0] = tb.take();
+    }
+    {
+        TraceBuilder tb(32);
+        tb.memUniform(Opcode::LDG, 4, 0x9000, 4, DataClass::Compute);
+        tb.alu(Opcode::FFMA, 5, 4, 4).bar().exit();
+        warps[1] = tb.take();
+    }
+    SmHarness h(/*mem_delay=*/100);
+    h.sm->launchCta(ctaKernel(std::move(warps)), 1, 0, h.now);
+    EXPECT_EQ(issueTimeline(h),
+              (Timeline{{1, 2}, {103, 1}, {104, 1}, {105, 2}, {106, 1}}));
+}
+
+TEST(SmIssueWake, PriorityChangeWakesAWarpHeldByTheLdstLimit)
+{
+    // With another stream prioritized, stream 0 may fill only half of
+    // the 2-entry LDST queue, so its second store sleeps from cycle 2.
+    // Prioritizing stream 0 after cycle 4 lifts the limit: the store
+    // issues at 5, not when the first one retires at 9.
+    SmConfig cfg;
+    cfg.ldstQueueDepth = 2;
+    SmHarness h(cfg, 100);
+    h.sm->setIssuePriority(5, 0);
+    TraceBuilder tb(32);
+    tb.memStrided(Opcode::STG, 0, 0x20000, kLineBytes, 4,
+                  DataClass::Compute);
+    tb.memStrided(Opcode::STG, 0, 0x40000, kLineBytes, 4,
+                  DataClass::Compute);
+    tb.exit();
+    h.sm->launchCta(oneWarpKernel(tb.take()), 1, 0, h.now);
+    const Timeline issued = issueTimeline(h, [&](Cycle now) {
+        if (now == 4) {
+            h.sm->setIssuePriority(0, -1);
+        }
+    });
+    EXPECT_EQ(issued, (Timeline{{1, 1}, {5, 1}, {6, 1}}));
+}
+
+TEST(SmIssueWake, FreezeThenUnfreezeResumesIssue)
+{
+    // The second FFMA sleeps on the pool until 6; the SM is frozen after
+    // cycle 2 and thawed after cycle 9, so it issues at 10.
+    SmConfig cfg;
+    cfg.fp32Units = 1;
+    cfg.fp32Interval = 5;
+    cfg.fp32Latency = 20;
+    SmHarness h(cfg, 100);
+    TraceBuilder tb(32);
+    tb.alu(Opcode::FFMA, 4).alu(Opcode::FFMA, 5).exit();
+    h.sm->launchCta(oneWarpKernel(tb.take()), 1, 0, h.now);
+    const Timeline issued = issueTimeline(h, [&](Cycle now) {
+        if (now == 2) {
+            h.sm->setIssueFrozen(true);
+        } else if (now == 9) {
+            h.sm->setIssueFrozen(false);
+        }
+    });
+    EXPECT_EQ(issued, (Timeline{{1, 1}, {10, 1}, {11, 1}}));
 }
 
 } // namespace
