@@ -323,15 +323,27 @@ Sm::setCtaDoneHandler(CtaDoneHandler handler)
 }
 
 void
+Sm::setQuotaChangeHandler(std::function<void()> handler)
+{
+    onQuotaChange_ = std::move(handler);
+}
+
+void
 Sm::setQuota(StreamId stream, const SmQuota &quota)
 {
     quotas_[stream] = quota;
+    if (onQuotaChange_) {
+        onQuotaChange_();
+    }
 }
 
 void
 Sm::clearQuotas()
 {
     quotas_.clear();
+    if (onQuotaChange_) {
+        onQuotaChange_();
+    }
 }
 
 void
@@ -545,6 +557,9 @@ Sm::issueMemory(WarpState &warp, const TraceInstr &instr, Cycle now)
             }
             ++pos;
         }
+        if (pos == ldstQueue_.begin()) {
+            ldstAsleep_ = false;   // A new head: it may well go.
+        }
         ldstQueue_.insert(pos, std::move(entry));
     } else {
         ldstQueue_.push_back(std::move(entry));
@@ -679,11 +694,14 @@ Sm::memPhaseGrantRetry(Cycle now)
     // drain after the SM phases, so re-probing the same full bank within
     // the cycle cannot succeed — while fresh LDST lines may still land
     // on other banks in the LDST rounds.
-    if (memRetryBlocked_ || fabricRetry_.empty() || memRetriesLeft_ == 0) {
+    if (memRetryBlocked_ || !retryAwake() || memRetriesLeft_ == 0) {
         return false;
     }
     if (!fabric_->submitToL2(fabricRetry_.front(), now)) {
         memRetryBlocked_ = true;
+        // Only a pop of the full bank that refused can change the
+        // answer; the owner wakes the stage then.
+        retryWaitBank_ = fabric_->refusingBank(fabricRetry_.front());
         return false;
     }
     const Cycle waited = now - fabricRetryParkedAt_.front();
@@ -700,7 +718,7 @@ Sm::memPhaseGrantRetry(Cycle now)
 bool
 Sm::memPhaseGrantLdst(Cycle now)
 {
-    if (memLdstBlocked_) {
+    if (memLdstBlocked_ || ldstAsleep_) {
         return false;
     }
     const LdstOutcome outcome = stepLdstOne(now);
@@ -745,8 +763,10 @@ Sm::stepLdstOne(Cycle now)
         st.l1Accesses++;
     } else if (l1Mshr_.pending(line)) {
         // Load path through the unified L1: merge into a pending miss.
+        // A full target list frees only when the line fills: sleep.
         const auto outcome = l1Mshr_.allocate(line, entry.tracker, now);
         if (outcome == Mshr::Outcome::Stall) {
+            ldstAsleep_ = true;
             return LdstOutcome::Blocked;
         }
         st.l1Accesses++;
@@ -755,8 +775,11 @@ Sm::stepLdstOne(Cycle now)
             st.l1TexAccesses++;
         }
     } else {
+        // A full MSHR frees, and the L1's contents change, only on a
+        // fill: sleep until one arrives.
         const bool would_miss = !l1_.probe(line, entry.stream);
         if (would_miss && l1Mshr_.full()) {
+            ldstAsleep_ = true;
             return LdstOutcome::Blocked;
         }
         auto res = l1_.access(line, false, entry.stream, entry.cls,
@@ -812,7 +835,9 @@ Sm::memResponse(const MemRequest &resp, Cycle now)
     // Fill the unified L1 (reads only; write-through stores never respond).
     // fill(), not access(): the returning data is not a demand access, so
     // it must not count toward the L1's access/miss totals or steal LRU
-    // recency from resident lines.
+    // recency from resident lines. A fill frees an MSHR entry and changes
+    // the L1, so a sleeping LDST head may go.
+    ldstAsleep_ = false;
     l1_.fill(resp.line, false, resp.stream, resp.dataClass);
     for (uint64_t key : l1Mshr_.fill(resp.line)) {
         LoadTracker *tracker = findTracker(key);
@@ -1019,6 +1044,29 @@ Sm::auditAccounting(Cycle now, std::string *detail) const
                 static_cast<unsigned long long>(now + 1)));
         }
     }
+    // Missed memory-phase wakes: a sleeping stage's refusal must still
+    // stand, or the event that should have woken it was lost.
+    if (ldstAsleep_) {
+        bool blocked = false;
+        if (!ldstQueue_.empty() && !ldstQueue_.front().write) {
+            const LdstEntry &head = ldstQueue_.front();
+            const Addr line = head.lines.back();
+            blocked = l1Mshr_.pending(line)
+                ? l1Mshr_.wouldStall(line)
+                : !l1_.probe(line, head.stream) && l1Mshr_.full();
+        }
+        if (!blocked) {
+            return fail(formatMessage(
+                "SM %u LDST stage asleep but its head is not blocked on the "
+                "L1 MSHR (missed wake event)", smId_));
+        }
+    }
+    if (retryWaitBank_ != kNoBank &&
+        (fabricRetry_.empty() || !fabric_->bankAtCapacity(retryWaitBank_))) {
+        return fail(formatMessage(
+            "SM %u retry stage asleep on L2 bank %u, which is no longer at "
+            "capacity (missed wake event)", smId_, retryWaitBank_));
+    }
     return true;
 }
 
@@ -1223,11 +1271,10 @@ Sm::flushShadowProfiler()
 Cycle
 Sm::nextWorkCycle(Cycle now) const
 {
-    // Anything queued SM-side makes next cycle productive: the LDST unit
-    // retries every cycle and the retry queue re-probes the fabric. (A
-    // blocked LDST head could in principle be analyzed more sharply, but
-    // conservative-early answers only shrink the jump.)
-    if (!ldstQueue_.empty() || !fabricRetry_.empty()) {
+    // An awake memory-phase stage makes next cycle productive. A sleeping
+    // one waits on an L1 fill or an L2 bank pop, which the L2 side (or
+    // the fabric) reports as its own event.
+    if (memPhaseAwake()) {
         return now + 1;
     }
 

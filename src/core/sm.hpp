@@ -28,6 +28,26 @@ class MemFabricPort
     virtual ~MemFabricPort() = default;
     /** @return false when the fabric refuses the request (backpressure). */
     virtual bool submitToL2(MemRequest req, Cycle now) = 0;
+
+    /**
+     * The local L2 bank that would refuse @p req right now because its
+     * queue is full, or kNoBank. Only that bank's next pop can turn such
+     * a refusal into an acceptance, so the SM's retry stage sleeps until
+     * then; kNoBank (a fabric link, or a port that cannot tell) keeps the
+     * stage polling every cycle.
+     */
+    virtual uint32_t refusingBank(const MemRequest &req) const
+    {
+        (void)req;
+        return kNoBank;
+    }
+
+    /** True while L2 bank @p bank's queue is at capacity (audit only). */
+    virtual bool bankAtCapacity(uint32_t bank) const
+    {
+        (void)bank;
+        return false;
+    }
 };
 
 /** Resource footprint of a CTA, used by quota and occupancy accounting. */
@@ -99,6 +119,13 @@ class Sm
     /** Called when a CTA's last warp exits. */
     void setCtaDoneHandler(CtaDoneHandler handler);
 
+    /**
+     * Called after every setQuota()/clearQuotas(): the owner's CTA
+     * scheduler sleeps between events that can change canAccept(), and a
+     * quota change is one of them, whoever makes it.
+     */
+    void setQuotaChangeHandler(std::function<void()> handler);
+
     /** Per-stream intra-SM quota (fine-grained partitioning). */
     void setQuota(StreamId stream, const SmQuota &quota);
     void clearQuotas();
@@ -162,8 +189,10 @@ class Sm
     /**
      * Recompute resource accounting from live CTAs and compare against the
      * incrementally tracked totals, per-stream usage and SM capacity, and
-     * check that an issue stage asleep past @p now + 1 has no warp that
-     * could issue at @p now + 1 (a missed wake event).
+     * check for missed wake events: an issue stage asleep past @p now + 1
+     * has no warp that could issue at @p now + 1, a sleeping LDST head is
+     * still blocked on the L1 MSHR, and the L2 bank a sleeping retry
+     * stage waits on is still at capacity.
      * @return false (with @p detail filled) on any mismatch.
      */
     bool auditAccounting(Cycle now, std::string *detail) const;
@@ -274,11 +303,29 @@ class Sm
     void setExternalMemPhase(bool external) { extMemPhase_ = external; }
     bool externalMemPhase() const { return extMemPhase_; }
 
-    /** True while the retry queue or the LDST unit has work to submit. */
-    bool hasMemPhaseWork() const
+    /**
+     * True when a memory-phase stage with work is awake, i.e. a grant
+     * next cycle could make progress. A stage sleeps when its refusal
+     * can only change on an event: the LDST head blocked on the L1 MSHR
+     * (woken by an L1 fill or a new head), the retry head refused by a
+     * full L2 bank (woken by wakeRetry() when that bank pops).
+     */
+    bool memPhaseAwake() const
     {
-        return !fabricRetry_.empty() || !ldstQueue_.empty();
+        return retryAwake() || (!ldstQueue_.empty() && !ldstAsleep_);
     }
+
+    /** True when the retry queue has a head that is not asleep. */
+    bool retryAwake() const
+    {
+        return !fabricRetry_.empty() && retryWaitBank_ == kNoBank;
+    }
+
+    /** L2 bank the retry stage sleeps on, or kNoBank when awake. */
+    uint32_t retryWaitBank() const { return retryWaitBank_; }
+
+    /** The bank the retry stage sleeps on popped (or routing changed). */
+    void wakeRetry() { retryWaitBank_ = kNoBank; }
 
     /**
      * Open this SM's memory phase for cycle @p now: reload the per-cycle
@@ -291,8 +338,10 @@ class Sm
      * One retry-stage grant: re-send the head of the fabric-retry queue
      * (FIFO). A refusal blocks the stage for the rest of the cycle —
      * bank-queue refusals are monotone within a cycle — as does the
-     * per-cycle retry cap. @return true when a request was submitted;
-     * false drops this SM from the arbiter's retry rotation this cycle.
+     * per-cycle retry cap; a refusal by a full local L2 bank puts the
+     * stage to sleep until wakeRetry(). @return true when a request was
+     * submitted; false drops this SM from the arbiter's retry rotation
+     * this cycle.
      * Parked requests are the oldest traffic in the machine, so the
      * arbiter runs every SM's retry rounds before any LDST round: fresh
      * lines must not steal freed bank slots from starved retries.
@@ -370,10 +419,11 @@ class Sm
 
     /**
      * Earliest future cycle (> @p now) at which this SM can do work on
-     * its own: a due writeback, or the issue stage's wake-up (an
-     * execution unit or the shared-memory port freeing up for a waiting
-     * warp). Returns kNeverCycle when every path is blocked on memory
-     * responses (the L2 side owns those wake-ups). Conservative answers
+     * its own: the next cycle for an awake memory phase, a due
+     * writeback, or the issue stage's wake-up (an execution unit or the
+     * shared-memory port freeing up for a waiting warp). Returns
+     * kNeverCycle when every path is blocked on memory responses or L2
+     * bank pops (the L2 side owns those wake-ups). Conservative answers
      * (too early) are always safe; the fast-forward logic takes the
      * minimum across all components.
      */
@@ -483,6 +533,7 @@ class Sm
     MemFabricPort *fabric_;
     StatsRegistry *stats_;
     CtaDoneHandler onCtaDone_;
+    std::function<void()> onQuotaChange_;
     telemetry::SelfProfiler *profiler_ = nullptr;
 
     std::vector<WarpState> warps_;          // one per warp slot
@@ -562,6 +613,13 @@ class Sm
     uint32_t memRetriesLeft_ = 0;
     bool memRetryBlocked_ = false;
     bool memLdstBlocked_ = false;
+    // Memory-phase sleep (beyond the cycle): a refusal that only an event
+    // can change. Every skipped grant would have been a refusal that
+    // mutates nothing, so sleeping is exact.
+    /** LDST head blocked on the L1 MSHR; cleared by a fill or new head. */
+    bool ldstAsleep_ = false;
+    /** Full L2 bank that refused the retry head, or kNoBank (awake). */
+    uint32_t retryWaitBank_ = kNoBank;
     /** Memory phase driven by the owner's arbiter, not by step(). */
     bool extMemPhase_ = false;
     // Load trackers live in a generation-checked slot pool; ids encode

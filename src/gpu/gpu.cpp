@@ -46,6 +46,7 @@ Gpu::Gpu(const GpuConfig &cfg) : cfg_(cfg)
         panic_if(resp.smId >= sms_.size(), "response for unknown SM %u",
                  resp.smId);
         sms_[resp.smId]->memResponse(resp, cycle_);
+        markMemAwake(resp.smId);
     });
     sms_.reserve(cfg_.numSms);
     for (uint32_t i = 0; i < cfg_.numSms; ++i) {
@@ -54,11 +55,15 @@ Gpu::Gpu(const GpuConfig &cfg) : cfg_(cfg)
             [this](uint32_t sm_id, StreamId stream, KernelId kernel) {
                 onCtaDone(sm_id, stream, kernel);
             });
+        sms_.back()->setQuotaChangeHandler([this] { ctaSchedWake_ = 0; });
         // The GPU-level round-robin arbiter owns every SM's fabric-facing
         // memory phase, whichever engine is configured.
         sms_.back()->setExternalMemPhase(true);
         allSms_.push_back(i);
     }
+    memAwake_.assign((cfg_.numSms + 63) / 64, 0);
+    bankWaiters_.resize(cfg_.l2.numBanks);
+    memPhaseOpened_.reserve(cfg_.numSms);
     memPhaseScratch_.reserve(cfg_.numSms);
     stepScratch_.reserve(cfg_.numSms);
     setEngine(cfg_.engine);
@@ -186,6 +191,7 @@ Gpu::enqueueInternal(StreamId stream, KernelInfo info, KernelId depends_on,
         q.dependsOn = integrity::FaultInjector::kCorruptDependencyId;
     }
     it->second.queue.push_back(std::move(q));
+    ctaSchedWake_ = 0;
     it->second.lastEnqueued = id;
     it->second.everUsed = true;
     it->second.everEnqueued.insert(id);
@@ -298,6 +304,7 @@ Gpu::setSmQuota(uint32_t sm_index, StreamId stream, const SmQuota &quota)
 void
 Gpu::applyPartition()
 {
+    ctaSchedWake_ = 0;   // SM ranges and the drain policy may change.
     smAssignment_.clear();
     for (auto &sm : sms_) {
         sm->clearQuotas();
@@ -380,7 +387,7 @@ Gpu::applyPartition()
 }
 
 const std::vector<uint32_t> &
-Gpu::allowedSms(StreamId stream)
+Gpu::allowedSms(StreamId stream) const
 {
     auto it = smAssignment_.find(stream);
     return it == smAssignment_.end() ? allSms_ : it->second;
@@ -439,6 +446,24 @@ Gpu::promoteReadyKernels(StreamState &ss)
     }
 }
 
+Cycle
+Gpu::promotionCycle(const StreamState &ss) const
+{
+    // Mirrors promoteReadyKernels' gates. A front blocked on an incomplete
+    // dependency or the active-kernel limit waits on a kernel completion.
+    if (ss.queue.empty() || ss.active.size() >= kMaxActiveKernels) {
+        return kNeverCycle;
+    }
+    const QueuedKernel &front = ss.queue.front();
+    if (front.dependsOn == kNoDependency) {
+        return front.notBefore;
+    }
+    auto done_at = ss.completedAt.find(front.dependsOn);
+    return done_at == ss.completedAt.end()
+        ? kNeverCycle
+        : std::max(done_at->second + front.delay, front.notBefore);
+}
+
 void
 Gpu::issueCtas()
 {
@@ -446,9 +471,15 @@ Gpu::issueCtas()
     // of one CTA per SM per cycle).
     issueLaunchedScratch_.assign(sms_.size(), 0);
     std::vector<uint8_t> &launched = issueLaunchedScratch_;
+    // Events during this pass (a controller changing quotas on a kernel
+    // launch, an empty CTA committing at launch) reset this to 0.
+    ctaSchedWake_ = kNeverCycle;
+    bool launched_any = false;
+    Cycle timer = kNeverCycle;
 
     for (auto &[id, ss] : streams_) {
         promoteReadyKernels(ss);
+        timer = std::min(timer, promotionCycle(ss));
         bool starved = false;
         for (ActiveKernel &ak : ss.active) {
             const uint32_t total = ak.info.numCtas();
@@ -466,6 +497,7 @@ Gpu::issueCtas()
                     sms_[sm_id]->launchCta(ak.info, ak.id, ak.nextCta++,
                                            cycle_);
                     launched[sm_id] = true;
+                    launched_any = true;
                     if (telemetry_) {
                         telemetry_->emit(
                             {cycle_, telemetry::EventKind::CtaDispatch,
@@ -479,10 +511,16 @@ Gpu::issueCtas()
         }
         if (partition_.policy == PartitionPolicy::Exhaustive && starved) {
             // The default scheduler drains one kernel before the next
-            // stream's kernel may claim resources.
+            // stream's kernel may claim resources. The streams after it
+            // cannot act before a launch or a commit ends the drain, so
+            // their timers do not matter until then.
             break;
         }
     }
+    // A pass that launched nothing leaves everything the next pass reads
+    // as it was (its promotions were offered in the same pass), so the
+    // next pass can only differ after a promotion timer or an event.
+    ctaSchedWake_ = launched_any ? 0 : std::min(ctaSchedWake_, timer);
 }
 
 void
@@ -497,6 +535,7 @@ Gpu::onCtaDone(uint32_t sm_id, StreamId stream, KernelId kernel)
                            });
     panic_if(ak == ss.active.end(),
              "CTA done for inactive kernel %u on stream %u", kernel, stream);
+    ctaSchedWake_ = 0;   // Resources freed; the kernel may complete.
     if (telemetry_) {
         // b is the retirement ordinal: commit order, not launch index.
         telemetry_->emit({cycle_, telemetry::EventKind::CtaRetire, sm_id,
@@ -553,7 +592,7 @@ Gpu::tick()
                 faultInjector_->issueFrozen(target, cycle_));
         }
     }
-    {
+    if (cycle_ >= ctaSchedWake_) {
         telemetry::SelfProfiler::Scope prof_scope(
             profiler_, telemetry::Component::CtaScheduler);
         issueCtas();
@@ -563,18 +602,24 @@ Gpu::tick()
         telemetry::SelfProfiler::Scope prof_scope(
             profiler_, telemetry::Component::SmIssue);
         // An SM with no live warp and no due writeback has nothing to
-        // step (Sm::needsStep); both engines skip it.
+        // step (Sm::needsStep); both engines skip it. A stepped SM may
+        // have queued a memory instruction, or put one ahead of a
+        // sleeping LDST head: it rejoins the memory-phase awake set.
         if (engine_.staged()) {
             stepSmsStaged();
         } else {
             for (auto &sm : sms_) {
                 if (sm->needsStep(cycle_)) {
                     sm->step(cycle_);
+                    markMemAwake(sm->smId());
                 }
             }
         }
     }
     l2_->step(cycle_);
+    for (uint32_t bank : l2_->poppedBanks()) {
+        wakeBankWaiters(bank);
+    }
     {
         telemetry::SelfProfiler::Scope prof_scope(
             profiler_, telemetry::Component::Controllers);
@@ -589,6 +634,16 @@ Gpu::tick()
 }
 
 void
+Gpu::wakeBankWaiters(uint32_t bank)
+{
+    for (uint32_t id : bankWaiters_[bank]) {
+        sms_[id]->wakeRetry();
+        markMemAwake(id);
+    }
+    bankWaiters_[bank].clear();
+}
+
+void
 Gpu::memoryPhase()
 {
     // Round-robin fabric arbitration (ROADMAP item 5): instead of each
@@ -600,50 +655,92 @@ Gpu::memoryPhase()
     // the arbiter between a ticked and a jumped run, and the serial and
     // staged engines share this exact phase: the request stream the L2
     // sees is identical for any thread count.
-    // Only SMs with queued work open a phase: an SM without any cannot
-    // gain some before the phase ends, and beginMemPhase() re-arms its
-    // budgets the first cycle it has work again.
-    memPhaseScratch_.clear();
-    const size_t n = sms_.size();
-    const size_t start = static_cast<size_t>(cycle_ % n);
-    for (size_t i = 0; i < n; ++i) {
-        Sm *sm = sms_[(start + i) % n].get();
-        if (sm->hasMemPhaseWork()) {
-            sm->beginMemPhase(cycle_);
-            memPhaseScratch_.push_back(sm);
+    //
+    // Only SMs in the awake set open a phase. An SM outside it has no
+    // queued work, or only stages asleep on an L1 fill or an L2 bank pop;
+    // its grants would all be refusals that mutate nothing, so skipping
+    // them leaves the grant order, and every output, unchanged.
+    //
+    // A routing change (bank masks, page migration) can send a retry
+    // head asleep on a full bank elsewhere: every such stage re-polls.
+    const uint64_t routing = l2_->routingEpoch() +
+        (remote_ != nullptr ? remote_->ownershipChanges() : 0);
+    if (routing != routingSeen_) {
+        routingSeen_ = routing;
+        for (uint32_t bank = 0; bank < bankWaiters_.size(); ++bank) {
+            wakeBankWaiters(bank);
         }
     }
-    if (memPhaseScratch_.empty()) {
+    if (std::all_of(memAwake_.begin(), memAwake_.end(),
+                    [](uint64_t word) { return word == 0; })) {
         return;
     }
     telemetry::SelfProfiler::Scope prof_scope(
         profiler_, telemetry::Component::L1Ldst);
+
+    // Open the awake SMs in rotation order (start, start + 1, ... mod n),
+    // dropping any whose stages fell asleep since they were added.
+    memPhaseOpened_.clear();
+    auto open = [this](size_t word, uint64_t bits) {
+        while (bits != 0) {
+            const uint32_t id = static_cast<uint32_t>(
+                word * 64 + __builtin_ctzll(bits));
+            bits &= bits - 1;
+            Sm *sm = sms_[id].get();
+            if (sm->memPhaseAwake()) {
+                sm->beginMemPhase(cycle_);
+                memPhaseOpened_.push_back(sm);
+            } else {
+                memAwake_[word] &= ~(1ull << (id & 63));
+            }
+        }
+    };
+    const size_t start = static_cast<size_t>(cycle_ % sms_.size());
+    const size_t first = start / 64;
+    const uint64_t below = (1ull << (start % 64)) - 1;
+    open(first, memAwake_[first] & ~below);
+    for (size_t w = first + 1; w < memAwake_.size(); ++w) {
+        open(w, memAwake_[w]);
+    }
+    for (size_t w = 0; w < first; ++w) {
+        open(w, memAwake_[w]);
+    }
+    open(first, memAwake_[first] & below);
+
     // Grant rounds, retry stage first across ALL SMs: parked requests
     // are the oldest traffic in the machine, so they claim the bank
     // slots freed since last cycle before any fresh LDST line can.
     // SMs that can no longer make progress this cycle (out of work, out
     // of budget, or blocked on backpressure) are compacted out in
-    // place; rotation order is preserved across rounds.
-    auto rounds = [this](bool (Sm::*grant)(Cycle)) {
-        while (!memPhaseScratch_.empty()) {
-            size_t kept = 0;
-            for (Sm *sm : memPhaseScratch_) {
-                if ((sm->*grant)(cycle_)) {
-                    memPhaseScratch_[kept++] = sm;
-                }
-            }
-            memPhaseScratch_.resize(kept);
-        }
-    };
-    rounds(&Sm::memPhaseGrantRetry);
+    // place; rotation order is preserved across rounds. A retry stage
+    // that a full local bank refuses goes to sleep on that bank.
     memPhaseScratch_.clear();
-    for (size_t i = 0; i < n; ++i) {
-        Sm *sm = sms_[(start + i) % n].get();
-        if (sm->hasMemPhaseWork()) {
+    for (Sm *sm : memPhaseOpened_) {
+        if (sm->retryAwake()) {
             memPhaseScratch_.push_back(sm);
         }
     }
-    rounds(&Sm::memPhaseGrantLdst);
+    while (!memPhaseScratch_.empty()) {
+        size_t kept = 0;
+        for (Sm *sm : memPhaseScratch_) {
+            if (sm->memPhaseGrantRetry(cycle_)) {
+                memPhaseScratch_[kept++] = sm;
+            } else if (sm->retryWaitBank() != kNoBank) {
+                bankWaiters_[sm->retryWaitBank()].push_back(sm->smId());
+            }
+        }
+        memPhaseScratch_.resize(kept);
+    }
+    memPhaseScratch_ = memPhaseOpened_;
+    while (!memPhaseScratch_.empty()) {
+        size_t kept = 0;
+        for (Sm *sm : memPhaseScratch_) {
+            if (sm->memPhaseGrantLdst(cycle_)) {
+                memPhaseScratch_[kept++] = sm;
+            }
+        }
+        memPhaseScratch_.resize(kept);
+    }
 }
 
 void
@@ -691,6 +788,7 @@ Gpu::stepSmsStaged()
         sm->flushStagedCtaDones();
         sm->flushShadowStats();
         sm->flushShadowProfiler();
+        markMemAwake(sm->smId());
     }
 }
 
@@ -823,27 +921,14 @@ Gpu::nextWakeCycle() const
         consider(nextSample_);
     }
 
-    // Kernel promotion timers: a front kernel held back only by a
-    // fixed-function delay becomes eligible at a known cycle. Fronts
-    // blocked on an incomplete dependency or the active-kernel limit
-    // wake via a kernel completion, which is always preceded by SM/L2
-    // work (covered below).
+    // Kernel promotion timers: a front kernel held back only by its
+    // arrival time or a fixed-function delay becomes eligible at a known
+    // cycle (consider() clamps a due one to cycle_ + 1). Fronts blocked
+    // on an incomplete dependency or the active-kernel limit wake via a
+    // kernel completion, which is always preceded by SM/L2 work (covered
+    // below).
     for (const auto &[id, ss] : streams_) {
-        if (ss.queue.empty() || ss.active.size() >= kMaxActiveKernels) {
-            continue;
-        }
-        const QueuedKernel &front = ss.queue.front();
-        if (front.dependsOn == kNoDependency) {
-            // Promotes on the next tick, or at its arrival time if it
-            // carries one (consider() clamps to cycle_ + 1).
-            consider(front.notBefore);
-            continue;
-        }
-        auto done_at = ss.completedAt.find(front.dependsOn);
-        if (done_at != ss.completedAt.end()) {
-            consider(std::max(done_at->second + front.delay,
-                              front.notBefore));
-        }
+        consider(promotionCycle(ss));
     }
 
     for (const auto &sm : sms_) {
@@ -966,6 +1051,54 @@ Gpu::checkStreamLiveness(
                  "and so can never be satisfied", id, ss.name.c_str(),
                  front.id, front.info.name.c_str(), front.dependsOn),
              cycle_});
+    }
+}
+
+void
+Gpu::checkCtaSchedulerSleep(
+    std::vector<integrity::InvariantViolation> &out) const
+{
+    // tick() skips issueCtas() while cycle_ + 1 < ctaSchedWake_, so the
+    // pass it skips must have nothing to do: no front kernel due to
+    // promote and no pending CTA that fits an allowed SM (in the pass's
+    // own stream order, honoring the exhaustive drain).
+    if (ctaSchedWake_ <= cycle_ + 1) {
+        return;
+    }
+    for (const auto &[id, ss] : streams_) {
+        std::string missed;
+        if (promotionCycle(ss) <= cycle_ + 1) {
+            missed = logging_detail::formatMessage(
+                "kernel %u can promote", ss.queue.front().id);
+        }
+        bool starved = false;
+        for (const ActiveKernel &ak : ss.active) {
+            if (ak.nextCta >= ak.info.numCtas()) {
+                continue;
+            }
+            starved = true;
+            for (uint32_t sm_id : allowedSms(id)) {
+                if (missed.empty() && sms_[sm_id]->canAccept(ak.info)) {
+                    missed = logging_detail::formatMessage(
+                        "CTA %u of kernel %u fits SM %u", ak.nextCta,
+                        ak.id, sm_id);
+                }
+            }
+        }
+        if (!missed.empty()) {
+            out.push_back(
+                {"cta-scheduler-sleep",
+                 logging_detail::formatMessage(
+                     "CTA scheduler asleep past cycle %llu but stream %u "
+                     "(%s): %s (missed wake event)",
+                     static_cast<unsigned long long>(cycle_ + 1), id,
+                     ss.name.c_str(), missed.c_str()),
+                 cycle_});
+            return;
+        }
+        if (partition_.policy == PartitionPolicy::Exhaustive && starved) {
+            return;
+        }
     }
 }
 
@@ -1230,6 +1363,7 @@ Gpu::runMachine(const std::vector<Gpu *> &devices, RemoteMemPort *fabric,
                                                  retry_bound, violations);
                 for (const Gpu *gpu : devices) {
                     gpu->checkStreamLiveness(violations);
+                    gpu->checkCtaSchedulerSleep(violations);
                 }
             }
             hung = cycle - last_progress >= hang_threshold &&
@@ -1320,6 +1454,16 @@ Gpu::streamFinishCycle(StreamId stream) const
     return it->second.finishCycle;
 }
 
+uint32_t
+Gpu::refusingBank(const MemRequest &req) const
+{
+    // A line a peer owns goes over the fabric, whose refusals are polled.
+    if (remote_ != nullptr && remote_->ownerOf(req.line) != deviceId_) {
+        return kNoBank;
+    }
+    return l2_->refusingBank(req);
+}
+
 bool
 Gpu::submitToL2(MemRequest req, Cycle now)
 {
@@ -1358,6 +1502,7 @@ Gpu::deliverRemoteResponse(const MemRequest &resp, Cycle now)
              resp.smId);
     stats_.stream(resp.stream).remoteResponses++;
     sms_[resp.smId]->memResponse(resp, now);
+    markMemAwake(resp.smId);
 }
 
 } // namespace crisp

@@ -57,6 +57,13 @@ class RemoteMemPort
     virtual uint32_t ownerOf(Addr line) const = 0;
 
     /**
+     * Monotone count of ownership changes (page migrations). A device's
+     * retries asleep on a full local bank re-poll when it moves: a line
+     * that migrated away now goes over the fabric instead.
+     */
+    virtual uint64_t ownershipChanges() const = 0;
+
+    /**
      * Route a request from its stamped srcDevice toward ownerOf(line).
      * @return false when the link's bounded request queue is full — the
      * SM parks the request in its egress retry queue exactly as it does
@@ -389,6 +396,11 @@ class Gpu : public MemFabricPort
 
     // MemFabricPort
     bool submitToL2(MemRequest req, Cycle now) override;
+    uint32_t refusingBank(const MemRequest &req) const override;
+    bool bankAtCapacity(uint32_t bank) const override
+    {
+        return l2_->bankAtCapacity(bank);
+    }
 
     // --- Multi-GPU lift ----------------------------------------------------
 
@@ -460,17 +472,34 @@ class Gpu : public MemFabricPort
     void issueCtas();
     void onCtaDone(uint32_t sm_id, StreamId stream, KernelId kernel);
     void promoteReadyKernels(StreamState &ss);
-    const std::vector<uint32_t> &allowedSms(StreamId stream);
+    /**
+     * Earliest cycle at which @p ss's front queued kernel may promote
+     * with only time passing (arrival time, or dependency completion plus
+     * its fixed-function delay); kNeverCycle when it waits on an event (a
+     * kernel completion) or there is nothing to promote.
+     */
+    Cycle promotionCycle(const StreamState &ss) const;
+    const std::vector<uint32_t> &allowedSms(StreamId stream) const;
     void sampleCounters();
     /**
      * Round-robin fabric arbitration: the per-cycle memory phase shared
      * by the serial and staged engines. Grants rotate across SMs from a
      * start derived purely from the cycle number (fast-forward safe),
      * one request per SM per grant round, until no SM can make progress.
-     * Main thread only, before any SM steps.
+     * Main thread only, before any SM steps. Walks only the SMs in the
+     * memory-phase awake set.
      */
     void memoryPhase();
     void stepSmsStaged();
+    /** Add SM @p id to the awake set if a memory-phase stage is awake. */
+    void markMemAwake(uint32_t id)
+    {
+        if (sms_[id]->memPhaseAwake()) {
+            memAwake_[id >> 6] |= 1ull << (id & 63);
+        }
+    }
+    /** Wake the retry stages asleep on @p bank (it popped a request). */
+    void wakeBankWaiters(uint32_t bank);
 
     // Idle fast-forward internals (used by run()).
     uint64_t totalWorkCount() const;
@@ -481,6 +510,9 @@ class Gpu : public MemFabricPort
     uint64_t progressSignature() const;
     bool progressImminent() const;
     void checkStreamLiveness(
+        std::vector<integrity::InvariantViolation> &out) const;
+    /** Missed-wake check: a sleeping CTA scheduler has nothing to do. */
+    void checkCtaSchedulerSleep(
         std::vector<integrity::InvariantViolation> &out) const;
     std::vector<integrity::HangReport::StreamRow> streamRows() const;
     integrity::HangReport
@@ -499,6 +531,27 @@ class Gpu : public MemFabricPort
     /** Per-tick "SM accepted a CTA this cycle" scratch for issueCtas():
      *  reused so the per-cycle scheduler pass does not allocate. */
     std::vector<uint8_t> issueLaunchedScratch_;
+    /**
+     * CTA-scheduler sleep: issueCtas() next runs at this cycle unless an
+     * event resets it to 0 (a launch in its last call, a CTA commit, an
+     * enqueue, a quota or partition change). Set after a call that
+     * launched nothing, to the earliest promotion timer.
+     */
+    Cycle ctaSchedWake_ = 0;
+    /**
+     * Memory-phase awake set, one bit per SM (any SM count): SMs whose
+     * retry or LDST stage may progress. Set only on the main thread:
+     * after SM stepping, on L1-fill delivery, after L2 bank pops, and on
+     * a routing change; the next memoryPhase() drops SMs that fell
+     * asleep.
+     */
+    std::vector<uint64_t> memAwake_;
+    /** SMs whose retry stage sleeps on each L2 bank. */
+    std::vector<std::vector<uint32_t>> bankWaiters_;
+    /** Routing epoch (L2 bank masks + page migrations) last seen. */
+    uint64_t routingSeen_ = 0;
+    /** SMs opened this cycle, in rotation order (memoryPhase()). */
+    std::vector<Sm *> memPhaseOpened_;
     /** Arbitration rotation scratch for memoryPhase(), reused per tick. */
     std::vector<Sm *> memPhaseScratch_;
     /** SMs the staged engine steps this tick, in SM-id order. */

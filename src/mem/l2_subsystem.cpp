@@ -37,6 +37,7 @@ L2Subsystem::L2Subsystem(const L2Config &cfg, StatsRegistry *stats)
                             cfg_.mshrTargetsPerEntry);
     }
     missStreaks_.assign(cfg_.numBanks, 0);
+    poppedBanks_.reserve(cfg_.numBanks);
 }
 
 void
@@ -204,7 +205,9 @@ L2Subsystem::step(Cycle now)
     }
     }
 
-    // 2. Each bank services queued requests at its slice bandwidth.
+    // 2. Each bank services queued requests at its slice bandwidth. A
+    // pop is the wake event for SMs whose retries the bank refused.
+    poppedBanks_.clear();
     {
     telemetry::SelfProfiler::Scope prof_scope(profiler_,
                                               telemetry::Component::L2);
@@ -239,6 +242,7 @@ L2Subsystem::step(Cycle now)
                 --queuedReads_;
             }
             queue.pop_front();
+            poppedBanks_.push_back(b);
             continue;
         }
 
@@ -263,6 +267,7 @@ L2Subsystem::step(Cycle now)
                 --queuedReads_;
             }
             queue.pop_front();
+            poppedBanks_.push_back(b);
             continue;
         }
 
@@ -285,6 +290,7 @@ L2Subsystem::step(Cycle now)
             --queuedReads_;
         }
         queue.pop_front();
+        poppedBanks_.push_back(b);
     }
     }
 
@@ -485,12 +491,14 @@ L2Subsystem::setStreamBankMask(StreamId stream, uint64_t mask)
         : ((1ull << cfg_.numBanks) - 1);
     fatal_if((mask & valid) == 0, "bank mask selects no valid banks");
     bankMasks_[stream] = mask & valid;
+    ++routingEpoch_;
 }
 
 void
 L2Subsystem::clearBankMasks()
 {
     bankMasks_.clear();
+    ++routingEpoch_;
 }
 
 void

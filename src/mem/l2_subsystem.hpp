@@ -81,6 +81,33 @@ class L2Subsystem
      */
     bool submit(MemRequest req, Cycle now);
 
+    /**
+     * The bank that would refuse @p req right now because its queue is
+     * at capacity, or kNoBank when submit() would accept it. Only a pop
+     * of that bank can change the answer (see poppedBanks()).
+     */
+    uint32_t refusingBank(const MemRequest &req) const
+    {
+        const uint32_t bank = bankFor(req.line, req.stream);
+        return bankAtCapacity(bank) ? bank : kNoBank;
+    }
+
+    /** True while @p bank's request queue is full. */
+    bool bankAtCapacity(uint32_t bank) const
+    {
+        return bankQueues_[bank].size() >= cfg_.bankQueueCapacity;
+    }
+
+    /** Banks that popped a request in the last step(), in bank order. */
+    const std::vector<uint32_t> &poppedBanks() const { return poppedBanks_; }
+
+    /**
+     * Bumped whenever the request-to-bank routing changes (bank masks):
+     * a refusal recorded against one bank no longer says where a retry
+     * would go.
+     */
+    uint64_t routingEpoch() const { return routingEpoch_; }
+
     /** Advance all banks and deliver due responses/fills. */
     void step(Cycle now);
 
@@ -278,6 +305,8 @@ class L2Subsystem
     uint64_t mergedAccesses_ = 0;
     /** DRAM fills installed into banks. */
     uint64_t fillsCompleted_ = 0;
+    uint64_t routingEpoch_ = 0;
+    std::vector<uint32_t> poppedBanks_;
 
     std::vector<SetAssocCache> banks_;
     std::vector<std::deque<MemRequest>> bankQueues_;

@@ -8,6 +8,9 @@
 namespace crisp
 {
 
+/** "No L2 bank": a refusal that must be re-polled every cycle. */
+constexpr uint32_t kNoBank = ~0u;
+
 /**
  * A cache-line-granularity memory request flowing between an SM and the
  * L2/DRAM subsystem.

@@ -77,6 +77,7 @@ class InterGpuFabric : public RemoteMemPort
 
     // RemoteMemPort
     uint32_t ownerOf(Addr line) const override;
+    uint64_t ownershipChanges() const override { return pageMigrations_; }
     bool submitRemote(MemRequest req, Cycle now) override;
     void submitRemoteResponse(MemRequest resp, uint32_t from_device,
                               Cycle now) override;

@@ -25,6 +25,7 @@ class TestFabric : public MemFabricPort
             ++writes_;
             return true;
         }
+        readCycles_.push_back(now);
         pending_.emplace(now + delay_, req);
         return true;
     }
@@ -41,9 +42,12 @@ class TestFabric : public MemFabricPort
 
     uint64_t submissions() const { return submissions_; }
     uint64_t writes() const { return writes_; }
+    /** Cycle of every read submission, in order. */
+    const std::vector<Cycle> &readCycles() const { return readCycles_; }
 
   private:
     Cycle delay_;
+    std::vector<Cycle> readCycles_;
     uint64_t submissions_ = 0;
     uint64_t writes_ = 0;
     std::multimap<Cycle, MemRequest> pending_;
@@ -594,6 +598,108 @@ TEST(SmIssueWake, FreezeThenUnfreezeResumesIssue)
         }
     });
     EXPECT_EQ(issued, (Timeline{{1, 1}, {10, 1}, {11, 1}}));
+}
+
+// --- Memory-phase sleep: the LDST stage --------------------------------
+//
+// A head blocked on the L1 MSHR sleeps until an L1 fill or a new head.
+// The timelines pin when lines reach the fabric; memPhaseAwake() shows
+// the stage really slept in between, and the per-cycle audit checks that
+// a sleeping head is still blocked.
+
+TEST(SmMemSleep, FullMshrResumesTheCycleAfterTheFill)
+{
+    // One MSHR entry. Line A leaves at 2 and fills at 102 (end of that
+    // cycle); line B's head sleeps from 3 and goes at 103.
+    SmConfig cfg;
+    cfg.l1MshrEntries = 1;
+    SmHarness h(cfg, 100);
+    TraceBuilder tb(32);
+    tb.memUniform(Opcode::LDG, 4, 0x1000, 4, DataClass::Compute);
+    tb.memUniform(Opcode::LDG, 5, 0x2000, 4, DataClass::Compute);
+    tb.exit();
+    h.sm->launchCta(oneWarpKernel(tb.take()), 1, 0, h.now);
+    std::vector<Cycle> asleep;
+    issueTimeline(h, [&](Cycle now) {
+        if (h.sm->probe(now).ldstQueueDepth > 0 &&
+            !h.sm->memPhaseAwake()) {
+            asleep.push_back(now);
+        }
+    });
+    EXPECT_EQ(h.fabric.readCycles(), (std::vector<Cycle>{2, 103}));
+    ASSERT_FALSE(asleep.empty());
+    EXPECT_EQ(asleep.front(), 3u);
+    EXPECT_EQ(asleep.back(), 101u);
+    EXPECT_EQ(asleep.size(), 99u);
+}
+
+TEST(SmMemSleep, FullTargetListResumesTheCycleAfterTheFill)
+{
+    // One target per MSHR entry: the second load of line A cannot merge
+    // and sleeps until A fills at 102, then hits in the L1 at 103.
+    SmConfig cfg;
+    cfg.l1MshrTargets = 1;
+    SmHarness h(cfg, 100);
+    TraceBuilder tb(32);
+    tb.memUniform(Opcode::LDG, 4, 0x1000, 4, DataClass::Compute);
+    tb.memUniform(Opcode::LDG, 5, 0x1000, 4, DataClass::Compute);
+    tb.exit();
+    h.sm->launchCta(oneWarpKernel(tb.take()), 1, 0, h.now);
+    uint64_t hits_at_102 = 0;
+    issueTimeline(h, [&](Cycle now) {
+        if (now == 50) {
+            EXPECT_FALSE(h.sm->memPhaseAwake());
+        }
+        if (now == 102) {
+            hits_at_102 = h.stats.stream(0).l1Hits;
+            EXPECT_TRUE(h.sm->memPhaseAwake());
+        }
+    });
+    EXPECT_EQ(h.fabric.readCycles(), (std::vector<Cycle>{2}));
+    EXPECT_EQ(hits_at_102, 0u);
+    EXPECT_EQ(h.stats.stream(0).l1Hits, 1u);
+}
+
+TEST(SmMemSleep, PriorityEntryAheadOfASleepingHeadGoesAtOnce)
+{
+    // Stream 0's second load sleeps on the full MSHR from cycle 3. A
+    // prioritized stream-1 load of the pending line, issued after two
+    // dependent FFMAs, lands ahead of it and merges the next cycle —
+    // long before the fill at 102 would have woken the old head.
+    SmConfig cfg;
+    cfg.l1MshrEntries = 1;
+    SmHarness h(cfg, 100);
+    h.sm->setIssuePriority(1, -1);
+    TraceBuilder low(32);
+    low.memUniform(Opcode::LDG, 4, 0x1000, 4, DataClass::Compute);
+    low.memUniform(Opcode::LDG, 5, 0x2000, 4, DataClass::Compute);
+    low.exit();
+    h.sm->launchCta(oneWarpKernel(low.take()), 1, 0, h.now);
+    TraceBuilder high(32);
+    high.alu(Opcode::FFMA, 4, 1, 2).alu(Opcode::FFMA, 5, 4, 4);
+    high.memUniform(Opcode::LDG, 6, 0x1000, 4, DataClass::Compute);
+    high.exit();
+    KernelInfo k = oneWarpKernel(high.take());
+    k.stream = 1;
+    h.sm->launchCta(k, 2, 0, h.now);
+
+    Cycle load_issued = 0;
+    Cycle merged = 0;
+    uint64_t issued = 0;
+    issueTimeline(h, [&](Cycle now) {
+        const StreamStats &st = h.stats.stream(1);
+        if (st.instructions == 3 && issued == 2) {
+            load_issued = now;
+            EXPECT_TRUE(h.sm->memPhaseAwake());
+        }
+        issued = st.instructions;
+        if (merged == 0 && st.l1MshrMerges == 1) {
+            merged = now;
+        }
+    });
+    ASSERT_GT(load_issued, 3u);
+    EXPECT_EQ(merged, load_issued + 1);
+    EXPECT_EQ(h.fabric.readCycles(), (std::vector<Cycle>{2, 103}));
 }
 
 } // namespace

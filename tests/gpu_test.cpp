@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
 
 #include "audit/audit.hpp"
 #include "gpu/gpu.hpp"
+#include "isa/trace_builder.hpp"
 #include "workloads/compute.hpp"
 
 namespace crisp
@@ -338,6 +341,259 @@ TEST(GpuTest, MidFlightCancellationLeavesCoherentState)
     for (const auto &v : violations) {
         ADD_FAILURE() << v.check << ": " << v.detail;
     }
+}
+
+// --- Memory-phase sleep: the retry stage --------------------------------
+
+/** A kernel of @p ctas one-warp CTAs, each running @p warp. */
+KernelInfo
+warpKernel(const std::string &name, const WarpTrace &warp, uint32_t ctas)
+{
+    CtaTrace cta;
+    cta.warps.push_back(warp);
+    KernelInfo k;
+    k.name = name;
+    k.grid = {ctas, 1, 1};
+    k.cta = {32, 1, 1};
+    k.regsPerThread = 16;
+    k.source = std::make_shared<VectorCtaSource>(
+        std::vector<CtaTrace>(ctas, cta));
+    return k;
+}
+
+TEST(MemPhaseSleep, BankRefusedRetryWakesOnThatBanksPop)
+{
+    // Two banks of one queue slot, no icnt latency, one target per L2
+    // MSHR entry. Line blocks below 128 map to bank (block % 2).
+    //  - SM 0 loads 32 even blocks (bank 0). The first goes straight in
+    //    at 2; the other 31 park. From cycle 3 the retry head sleeps on
+    //    bank 0, which pops every 4 cycles (a 128 B line at 32 B/cycle):
+    //    pops at 2, 6, ..., 126, each retry granted the cycle after the
+    //    pop that woke it (3, 7, ..., 123).
+    //  - SMs 1-3 load odd block 101 (bank 1). SM 2's request misses at
+    //    2; SM 3's copy waits at the head of bank 1 (the line's only
+    //    MSHR target is taken) until the DRAM fill; SM 1's retry sleeps
+    //    on bank 1 through all of bank 0's pops, and is granted the cycle
+    //    after bank 1 pops again.
+    GpuConfig cfg = tinyGpu(4);
+    cfg.l2.numBanks = 2;
+    cfg.l2.bankQueueCapacity = 1;
+    cfg.l2.mshrTargetsPerEntry = 1;
+    cfg.l2.icntLatency = 0;
+    cfg.finalize();
+    Gpu gpu(cfg);
+    const StreamId even = gpu.createStream("even");
+    const StreamId odd = gpu.createStream("odd");
+    TraceBuilder gather(32);
+    gather.memStrided(Opcode::LDG, 4, 0, 2 * kLineBytes, 4,
+                      DataClass::Compute);
+    gather.exit();
+    TraceBuilder shared(32);
+    shared.memUniform(Opcode::LDG, 4, 101 * kLineBytes, 4,
+                      DataClass::Compute);
+    shared.exit();
+    gpu.enqueueKernel(even, warpKernel("even", gather.take(), 1));
+    gpu.enqueueKernel(odd, warpKernel("odd", shared.take(), 3));
+
+    std::vector<Cycle> bank0_pops, sm0_grants;
+    Cycle sm1_slept = 0, bank1_pop = 0, sm1_granted = 0;
+    uint64_t accepted = gpu.l2().readsAccepted();
+    size_t sm1_depth = 0;
+    while (!gpu.done() && gpu.now() < 2000) {
+        gpu.tick();
+        const Cycle now = gpu.now();
+        const std::vector<uint32_t> &popped = gpu.l2().poppedBanks();
+        const bool pop0 =
+            std::find(popped.begin(), popped.end(), 0u) != popped.end();
+        const bool pop1 =
+            std::find(popped.begin(), popped.end(), 1u) != popped.end();
+        if (pop0) {
+            bank0_pops.push_back(now);
+        }
+        Sm &sm1 = gpu.sm(1);
+        const uint64_t new_reads = gpu.l2().readsAccepted() - accepted;
+        accepted = gpu.l2().readsAccepted();
+        // After cycle 2 only SM 0 (and SM 3's one retry, at 3) reach
+        // the L2 while SM 1's retry queue holds still.
+        if (now > 2 && new_reads > 0 && sm1.fabricRetryDepth() == sm1_depth) {
+            sm0_grants.push_back(now);
+        }
+        if (sm1_slept == 0 && sm1.retryWaitBank() == 1) {
+            sm1_slept = now;
+        }
+        if (sm1_slept != 0 && bank1_pop == 0) {
+            if (pop1) {
+                bank1_pop = now;
+                EXPECT_EQ(sm1.retryWaitBank(), kNoBank) << "cycle " << now;
+            } else {
+                EXPECT_EQ(sm1.retryWaitBank(), 1u) << "cycle " << now;
+            }
+        }
+        if (sm1_granted == 0 && sm1_depth == 1 &&
+            sm1.fabricRetryDepth() == 0) {
+            sm1_granted = now;
+        }
+        sm1_depth = sm1.fabricRetryDepth();
+        for (uint32_t i = 0; i < gpu.numSms(); ++i) {
+            std::string detail;
+            EXPECT_TRUE(gpu.sm(i).auditAccounting(now, &detail)) << detail;
+        }
+    }
+    ASSERT_TRUE(gpu.done());
+    std::vector<Cycle> want_pops, want_grants;
+    for (Cycle k = 0; k < 32; ++k) {
+        want_pops.push_back(2 + 4 * k);
+        if (k < 31) {
+            want_grants.push_back(3 + 4 * k);
+        }
+    }
+    EXPECT_EQ(bank0_pops, want_pops);
+    EXPECT_EQ(sm0_grants, want_grants);
+    EXPECT_EQ(sm1_slept, 3u);
+    // The DRAM round trip (180 cycles) outlasts all 32 bank-0 pops.
+    EXPECT_GT(bank1_pop, 180u);
+    EXPECT_EQ(sm1_granted, bank1_pop + 1);
+}
+
+TEST(MemPhaseSleep, BankMaskChangeWakesRetriesAsleepOnABank)
+{
+    // SM 1's retry head sleeps on bank 1 behind a line waiting for its
+    // DRAM fill (as above). Restricting its stream to bank 0 re-routes
+    // the head: the next memory phase must poll it again (granted, or
+    // asleep on bank 0) instead of leaving it asleep on bank 1.
+    GpuConfig cfg = tinyGpu(4);
+    cfg.l2.numBanks = 2;
+    cfg.l2.bankQueueCapacity = 1;
+    cfg.l2.mshrTargetsPerEntry = 1;
+    cfg.l2.icntLatency = 0;
+    cfg.finalize();
+    Gpu gpu(cfg);
+    const StreamId s = gpu.createStream("odd");
+    TraceBuilder shared(32);
+    shared.memUniform(Opcode::LDG, 4, 101 * kLineBytes, 4,
+                      DataClass::Compute);
+    shared.exit();
+    gpu.enqueueKernel(s, warpKernel("odd", shared.take(), 3));
+    while (gpu.now() < 20) {
+        gpu.tick();
+    }
+    ASSERT_EQ(gpu.sm(1).retryWaitBank(), 1u);
+    gpu.l2().setStreamBankMask(s, 0b01);
+    gpu.tick();
+    EXPECT_NE(gpu.sm(1).retryWaitBank(), 1u);
+    integrity::RunOptions opts;
+    opts.checkInterval = 1;
+    const Gpu::RunResult result = gpu.run(100'000, opts);
+    EXPECT_FALSE(result.hang) << result.hang->render();
+    EXPECT_TRUE(result.completed);
+}
+
+TEST(MemPhaseSleep, MoreThan64SmsRunCleanWithTheAuditEveryCycle)
+{
+    // 72 SMs (a two-word awake set) gathering 32 lines per warp through
+    // four narrow banks: retry and LDST stages sleep all over the
+    // machine, including on SMs 64-71, and the missed-wake invariants
+    // stay quiet with the watchdog at cadence 1.
+    GpuConfig cfg = tinyGpu(72);
+    cfg.l2.bankQueueCapacity = 2;
+    cfg.sm.l1MshrEntries = 8;
+    cfg.finalize();
+    Gpu gpu(cfg);
+    const StreamId s = gpu.createStream("gather");
+    TraceBuilder tb(32);
+    tb.memStrided(Opcode::LDG, 4, 0x40000, 3 * kLineBytes, 4,
+                  DataClass::Compute);
+    tb.alu(Opcode::FFMA, 5, 4, 4);
+    tb.memStrided(Opcode::LDG, 6, 0x80000, 5 * kLineBytes, 4,
+                  DataClass::Compute);
+    tb.exit();
+    gpu.enqueueKernel(s, warpKernel("gather", tb.take(), 144));
+
+    bool high_retry_slept = false;
+    bool high_sm_asleep = false;
+    while (gpu.now() < 200) {
+        gpu.tick();
+        for (uint32_t i = 64; i < gpu.numSms(); ++i) {
+            const Sm &sm = gpu.sm(i);
+            high_retry_slept |= sm.retryWaitBank() != kNoBank;
+            const bool has_work = sm.fabricRetryDepth() > 0 ||
+                                  sm.probe(gpu.now()).ldstQueueDepth > 0;
+            high_sm_asleep |= has_work && !sm.memPhaseAwake();
+        }
+    }
+    EXPECT_TRUE(high_retry_slept);
+    EXPECT_TRUE(high_sm_asleep);
+
+    integrity::RunOptions opts;
+    opts.checkInterval = 1;
+    const Gpu::RunResult result = gpu.run(1'000'000, opts);
+    EXPECT_FALSE(result.hang) << result.hang->render();
+    ASSERT_TRUE(result.completed);
+    EXPECT_EQ(gpu.stats().stream(s).ctasLaunched, 144u);
+    for (uint32_t i = 64; i < gpu.numSms(); ++i) {
+        EXPECT_GT(gpu.sm(i).l1Mshr().primaryAllocations(), 0u) << i;
+    }
+}
+
+// --- CTA-scheduler sleep ---------------------------------------------------
+
+TEST(CtaSchedulerSleep, DirectSmQuotaChangeWakesTheScheduler)
+{
+    // A zero quota keeps every CTA off both SMs, so the scheduler sleeps;
+    // lifting SM 1's quota directly on the Sm (not through the Gpu)
+    // must still launch a CTA on the very next tick.
+    Gpu gpu(tinyGpu(2));
+    const StreamId s = gpu.createStream("compute");
+    gpu.enqueueKernel(s, buildComputeKernel(simpleDesc("k", 4)));
+    gpu.setUniformQuota(s, 0.0);
+    for (int i = 0; i < 10; ++i) {
+        gpu.tick();
+    }
+    EXPECT_EQ(gpu.stats().stream(s).ctasLaunched, 0u);
+    gpu.sm(1).setQuota(s, gpu.quotaFromShare(1.0));
+    gpu.tick();
+    EXPECT_EQ(gpu.stats().stream(s).ctasLaunched, 1u);
+    EXPECT_EQ(gpu.sm(1).activeCtas(), 1u);
+    gpu.setUniformQuota(s, 1.0);
+    integrity::RunOptions opts;
+    opts.checkInterval = 1;
+    const Gpu::RunResult result = gpu.run(2'000'000, opts);
+    EXPECT_FALSE(result.hang) << result.hang->render();
+    EXPECT_TRUE(result.completed);
+}
+
+TEST(CtaSchedulerSleep, TimersAndCompletionsLaunchOnTime)
+{
+    // A kernel arriving at 500 launches at 500; one held by a 300-cycle
+    // fixed-function delay after its dependency launches exactly 300
+    // cycles after that kernel completes; one with a plain dependency
+    // launches the cycle after it completes (a CTA commit wakes the
+    // scheduler). The scheduler sleeps in between, and the watchdog runs
+    // its missed-wake check every cycle.
+    Gpu gpu(tinyGpu(2));
+    const StreamId a = gpu.createStream("arrival");
+    const StreamId b = gpu.createStream("delayed");
+    const StreamId c = gpu.createStream("chained");
+    gpu.enqueueKernelAt(a, buildComputeKernel(simpleDesc("late", 2)), 500);
+    const KernelId first =
+        gpu.enqueueKernel(b, buildComputeKernel(simpleDesc("first", 2)));
+    gpu.enqueueKernelAfter(b, buildComputeKernel(simpleDesc("second", 2)),
+                           first, 300);
+    gpu.enqueueKernel(c, buildComputeKernel(simpleDesc("head", 1)));
+    gpu.enqueueKernel(c, buildComputeKernel(simpleDesc("tail", 1)));
+    integrity::RunOptions opts;
+    opts.checkInterval = 1;
+    const Gpu::RunResult result = gpu.run(2'000'000, opts);
+    EXPECT_FALSE(result.hang) << result.hang->render();
+    ASSERT_TRUE(result.completed);
+    std::map<std::string, Gpu::KernelRecord> log;
+    for (const Gpu::KernelRecord &rec : gpu.kernelLog()) {
+        log[rec.name] = rec;
+    }
+    ASSERT_EQ(log.size(), 5u);
+    EXPECT_EQ(log["late"].launchCycle, 500u);
+    EXPECT_EQ(log["second"].launchCycle, log["first"].completeCycle + 300);
+    EXPECT_EQ(log["tail"].launchCycle, log["head"].completeCycle + 1);
 }
 
 } // namespace
