@@ -108,6 +108,7 @@ measure(uint32_t num_sms, uint32_t threads)
     Gpu gpu(bigGpu(num_sms));
     engine::EngineConfig ec;
     ec.threads = threads;
+    ec.fastForward = false;   // cycles/sec of the tick loop itself
     gpu.setEngine(ec);
     const StreamId s = gpu.createStream("compute");
     const auto b0 = std::chrono::steady_clock::now();

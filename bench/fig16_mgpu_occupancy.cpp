@@ -69,12 +69,10 @@ main()
         mgpu::MultiGpuConfig cfg;
         cfg.numGpus = scn.gpu.numGpus;
         cfg.gpu = scenario::gpuConfigFor(scn);
+        // The burst gaps are machine-wide idle; the fast-forward jump
+        // stops at every 500-cycle sample, so the sampled rows are the
+        // ticked run's.
         mgpu::MultiGpu machine(cfg);
-        // The burst gaps are machine-wide idle; the jump stops at every
-        // 500-cycle sample, so the sampled rows are the ticked run's.
-        engine::EngineConfig ec;
-        ec.fastForward = true;
-        machine.setEngine(ec);
 
         std::vector<std::unique_ptr<telemetry::TelemetrySink>> sinks;
         for (uint32_t d = 0; d < cfg.numGpus; ++d) {

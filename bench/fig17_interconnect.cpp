@@ -67,9 +67,6 @@ main()
             cfg.fabric.linkBytesPerCycle = bw;
             cfg.fabric.migrateAfter = mode.migrateAfter;
             mgpu::MultiGpu machine(cfg);
-            engine::EngineConfig ec;
-            ec.fastForward = true;
-            machine.setEngine(ec);
 
             // Device 0 renders; its window also homes the weights the
             // device-1 reader streams over.

@@ -45,10 +45,6 @@ runScenario(const char *file)
              "%s", err.str().c_str());
 
     Gpu gpu(scenario::gpuConfigFor(sc));
-    engine::EngineConfig ec;
-    ec.threads = 1;
-    ec.fastForward = true;  // burst gaps are mostly idle cycles
-    gpu.setEngine(ec);
 
     AddressSpace heap;
     scenario::Materialized mat;

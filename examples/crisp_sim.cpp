@@ -12,6 +12,8 @@
  *   crisp_sim --scenario FILE [options]
  *     --scenario FILE   the scenario JSON file to run (required)
  *     --policy NAME     exhaustive|mps|mig|fg|fg-slicer|mps-tap
+ *                       (one-GPU scenarios; gpu.placement partitions a
+ *                       multi-GPU machine)
  *     --share F         graphics resource share under fg (default 0.5)
  *     --image FILE      dump the rendered frame as PPM
  *     --csv FILE        dump per-stream stats as CSV
@@ -21,30 +23,39 @@
  *                       run that did not drain is reported, not fatal
  *     --sample N        sample counters every N cycles (see --timeline)
  *     --timeline FILE   dump the sampled counter time-series as CSV
+ *                       (FILE.gpu<d> per device on several GPUs)
  *     --profile         print the simulator's wall-clock self-profile
+ *                       (every device's, summed)
+ *     --profile-json FILE  write the self-profile as a ranked hotspot
+ *                       JSON report (see docs/PROFILING.md)
  *     --threads N       worker threads stepping SM shards    (default 1)
- *     --fast-forward    jump over machine-wide idle cycles
  *     --quiet           suppress the banner
+ *
+ * Every scenario, one GPU or several, runs on one mgpu::MultiGpu built
+ * from its gpu section; idle cycles are always fast-forwarded.
  */
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <map>
+#include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "common/json.hpp"
 #include "common/logging.hpp"
 #include "common/table.hpp"
 #include "gpu/gpu.hpp"
 #include "mgpu/multi_gpu.hpp"
-#include "telemetry/chrome_trace.hpp"
-#include "telemetry/sink.hpp"
 #include "graphics/pipeline.hpp"
 #include "partition/tap.hpp"
 #include "partition/warped_slicer.hpp"
 #include "scenario/build.hpp"
 #include "scenario/scenario.hpp"
+#include "telemetry/chrome_trace.hpp"
+#include "telemetry/sink.hpp"
 
 using namespace crisp;
 
@@ -56,6 +67,7 @@ struct Options
     std::string scenario;
     std::string policy = "exhaustive";
     double share = 0.5;
+    bool partitionFlags = false;   ///< --policy or --share given.
     std::string image;
     std::string csv;
     bool kernels = false;
@@ -65,8 +77,8 @@ struct Options
     Cycle sample = 0;
     std::string timeline;
     bool profile = false;
+    std::string profileJson;
     uint32_t threads = 1;
-    bool fastForward = false;
     bool quiet = false;
 };
 
@@ -84,8 +96,10 @@ parseArgs(int argc, char **argv)
             opt.scenario = need(i);
         } else if (a == "--policy") {
             opt.policy = need(i);
+            opt.partitionFlags = true;
         } else if (a == "--share") {
             opt.share = std::atof(need(i));
+            opt.partitionFlags = true;
         } else if (a == "--image") {
             opt.image = need(i);
         } else if (a == "--csv") {
@@ -103,10 +117,10 @@ parseArgs(int argc, char **argv)
             opt.timeline = need(i);
         } else if (a == "--profile") {
             opt.profile = true;
+        } else if (a == "--profile-json") {
+            opt.profileJson = need(i);
         } else if (a == "--threads") {
             opt.threads = static_cast<uint32_t>(std::atoi(need(i)));
-        } else if (a == "--fast-forward") {
-            opt.fastForward = true;
         } else if (a == "--quiet") {
             opt.quiet = true;
         } else if (a == "--help" || a == "-h") {
@@ -122,167 +136,48 @@ parseArgs(int argc, char **argv)
 }
 
 /**
- * Multi-GPU scenarios (gpu.num_gpus > 1) run here: one Gpu per device
- * plus the inter-GPU fabric, with the scenario's placement deciding the
- * per-device partitioning — the --policy/--share flags do not apply.
+ * Write the ranked hotspot report: per-component exclusive wall time,
+ * descending, plus whole-run throughput so successive runs form a
+ * comparable series (docs/PROFILING.md).
  */
-int
-runMultiGpu(const Options &opt, const scenario::Scenario &scn)
+void
+writeProfileJson(const std::string &path, const scenario::Scenario &scn,
+                 const telemetry::SelfProfiler &prof, Cycle cycles,
+                 double wall_sec)
 {
-    mgpu::MultiGpuConfig mcfg;
-    mcfg.numGpus = scn.gpu.numGpus;
-    mcfg.gpu = scenario::gpuConfigFor(scn);
-    mgpu::MultiGpu machine(mcfg);
-    {
-        engine::EngineConfig ec;
-        ec.threads = opt.threads;
-        ec.fastForward = opt.fastForward;
-        machine.setEngine(ec);
+    std::vector<telemetry::Component> order;
+    for (size_t i = 0;
+         i < static_cast<size_t>(telemetry::Component::NumComponents); ++i) {
+        order.push_back(static_cast<telemetry::Component>(i));
     }
-
-    // One telemetry sink per device; the Chrome trace merges them into
-    // labelled "gpu<d>" process groups, the timeline CSV gets one file
-    // per device (path.gpu<d>).
-    std::vector<std::unique_ptr<telemetry::TelemetrySink>> sinks;
-    const bool wants_telemetry = !opt.trace.empty() || opt.sample != 0 ||
-        !opt.timeline.empty() || opt.profile;
-    if (wants_telemetry) {
-        for (uint32_t d = 0; d < mcfg.numGpus; ++d) {
-            telemetry::TelemetryConfig tc;
-            tc.eventCapacity = 1 << 20;
-            tc.sampleInterval = opt.sample;
-            if (!opt.timeline.empty() && tc.sampleInterval == 0) {
-                tc.sampleInterval = 1000;
-            }
-            tc.selfProfile = opt.profile && d == 0;
-            sinks.push_back(
-                std::make_unique<telemetry::TelemetrySink>(tc));
-            machine.device(d).setTelemetry(sinks.back().get());
-        }
+    std::stable_sort(order.begin(), order.end(), [&](auto a, auto b) {
+        return prof.nanos(a) > prof.nanos(b);
+    });
+    const double total_ns = prof.totalNanos();
+    Json hotspots = Json::array();
+    for (const telemetry::Component c : order) {
+        Json h = Json::object();
+        h.set("component", Json::str(telemetry::componentName(c)));
+        h.set("seconds", Json::number(prof.nanos(c) / 1e9));
+        h.set("share", Json::number(total_ns > 0 ? prof.nanos(c) / total_ns
+                                                 : 0.0));
+        h.set("ns_per_cycle",
+              Json::number(cycles > 0 ? prof.nanos(c) /
+                                            static_cast<double>(cycles)
+                                      : 0.0));
+        hotspots.push(std::move(h));
     }
-
-    scenario::Materialized mat;
-    const scenario::MultiSubmitResult sr =
-        scenario::submitScenarioMulti(scn, machine, mat);
-    if (!sinks.empty() && opt.profile && mat.pipeline) {
-        mat.pipeline->setProfiler(&sinks[0]->profiler());
-    }
-
-    if (!opt.quiet) {
-        const char *placement =
-            scn.gpu.placement == scenario::Placement::Split ? "split"
-            : scn.gpu.placement == scenario::Placement::Colocated
-                ? "colocated"
-                : "mig";
-        std::printf("crisp_sim: scenario=%s (\"%s\") gpus=%ux%s "
-                    "placement=%s\n",
-                    opt.scenario.c_str(), scn.name.c_str(), mcfg.numGpus,
-                    mcfg.gpu.name.c_str(), placement);
-    }
-
-    const mgpu::MultiGpu::RunResult r = machine.run(opt.maxCycles);
-    for (const auto &v : r.violations) {
-        std::fprintf(stderr, "audit violation [%s] %s\n", v.check.c_str(),
-                     v.detail.c_str());
-    }
-    fatal_if(!r.violations.empty(), "multi-GPU audit failed");
-    if (!r.completed && opt.maxCyclesSet) {
-        std::printf("stopped at --max-cycles %llu before draining\n",
-                    static_cast<unsigned long long>(opt.maxCycles));
-    } else {
-        fatal_if(!r.completed, "simulation did not drain");
-    }
-
-    if (!sinks.empty() && !opt.trace.empty()) {
-        std::vector<const telemetry::TelemetrySink *> views;
-        for (const auto &s : sinks) {
-            views.push_back(s.get());
-        }
-        telemetry::writeChromeTrace(views, opt.trace);
-        std::printf("wrote %s (%u devices)\n", opt.trace.c_str(),
-                    mcfg.numGpus);
-    }
-    if (!sinks.empty() && !opt.timeline.empty()) {
-        for (uint32_t d = 0; d < mcfg.numGpus; ++d) {
-            const std::string path =
-                opt.timeline + ".gpu" + std::to_string(d);
-            sinks[d]->series().toTable().writeCsv(path);
-            std::printf("wrote %s (%zu samples)\n", path.c_str(),
-                        sinks[d]->series().rows());
-        }
-    }
-    if (!opt.image.empty() && mat.pipeline) {
-        mat.pipeline->framebuffer().writePpm(opt.image);
-    }
-
-    const mgpu::InterGpuFabric &fabric = machine.fabric();
-    std::printf("total: %llu cycles = %.4f ms on %u x %s (fabric: %llu "
-                "remote reqs, %llu migrations, %llu bytes)\n\n",
-                static_cast<unsigned long long>(r.cycles),
-                mcfg.gpu.cyclesToMs(r.cycles), mcfg.numGpus,
-                mcfg.gpu.name.c_str(),
-                static_cast<unsigned long long>(fabric.requestsAccepted()),
-                static_cast<unsigned long long>(fabric.pageMigrations()),
-                static_cast<unsigned long long>(
-                    fabric.bytesTransferred()));
-    if (opt.fastForward) {
-        uint64_t jumps = 0;
-        uint64_t skipped = 0;
-        for (uint32_t d = 0; d < mcfg.numGpus; ++d) {
-            jumps += machine.device(d).fastForwardJumps();
-            skipped += machine.device(d).fastForwardCycles();
-        }
-        std::printf("fast-forward: %llu jumps skipped %llu idle cycles\n",
-                    static_cast<unsigned long long>(jumps),
-                    static_cast<unsigned long long>(skipped));
-    }
-
-    Table t({"stream", "device", "cycles(first..last)", "kernels",
-             "instructions", "IPC", "L2 hit%", "remote", "dram rd"});
-    auto add_stream = [&](const char *name, StreamId id, uint32_t dev) {
-        if (id == kInvalidStream) {
-            return;
-        }
-        Gpu &gpu = machine.device(dev);
-        const StreamStats &st = gpu.stats().stream(id);
-        t.addRow({name, std::to_string(dev),
-                  std::to_string(st.firstCycle) + ".." +
-                      std::to_string(gpu.streamFinishCycle(id)),
-                  std::to_string(st.kernelsCompleted),
-                  std::to_string(st.instructions), Table::num(st.ipc(), 2),
-                  Table::num(100 * st.l2HitRate(), 1),
-                  std::to_string(st.remoteAccesses),
-                  std::to_string(st.dramReads)});
-    };
-    add_stream("graphics", sr.gfx, sr.gfxDevice);
-    add_stream("compute", sr.cmp, sr.cmpDevice);
-    std::printf("%s", t.toText().c_str());
-    if (!opt.csv.empty()) {
-        t.writeCsv(opt.csv);
-        std::printf("wrote %s\n", opt.csv.c_str());
-    }
-    if (opt.kernels) {
-        std::printf("\nper-kernel execution log:\n");
-        Table kt({"kernel", "device", "stream", "CTAs", "launch",
-                  "complete", "cycles"});
-        for (uint32_t d = 0; d < mcfg.numGpus; ++d) {
-            for (const auto &rec : machine.device(d).kernelLog()) {
-                kt.addRow({rec.name, std::to_string(d),
-                           rec.stream == sr.gfx ? "graphics" : "compute",
-                           std::to_string(rec.ctas),
-                           std::to_string(rec.launchCycle),
-                           std::to_string(rec.completeCycle),
-                           std::to_string(rec.completeCycle -
-                                          rec.launchCycle)});
-            }
-        }
-        std::printf("%s", kt.toText().c_str());
-    }
-    if (!sinks.empty() && opt.profile) {
-        std::printf("\nsimulator self-profile (wall clock):\n%s",
-                    sinks[0]->profiler().render(r.cycles).c_str());
-    }
-    return 0;
+    Json j = Json::object();
+    j.set("scenario", Json::str(scn.name));
+    j.set("cycles", Json::number(uint64_t{cycles}));
+    j.set("wall_sec", Json::number(wall_sec));
+    j.set("cycles_per_sec",
+          Json::number(static_cast<double>(cycles) / wall_sec));
+    j.set("profiled_sec", Json::number(total_ns / 1e9));
+    j.set("hotspots", std::move(hotspots));
+    std::ofstream f(path);
+    f << j.dump() << "\n";
+    fatal_if(!f, "cannot write %s", path.c_str());
 }
 
 } // namespace
@@ -298,52 +193,58 @@ main(int argc, char **argv)
     if (!scenario::loadScenarioFile(opt.scenario, scn, serr)) {
         fatal("%s", serr.str().c_str());
     }
-    if (scn.gpu.numGpus > 1) {
-        return runMultiGpu(opt, scn);
-    }
+    const uint32_t n = scn.gpu.numGpus;
+    fatal_if(n > 1 && opt.partitionFlags,
+             "--policy and --share do not apply to a %u-GPU scenario: "
+             "its gpu.placement partitions a multi-GPU machine",
+             n);
 
-    const GpuConfig gpu_cfg = scenario::gpuConfigFor(scn);
-    Gpu gpu(gpu_cfg);
+    mgpu::MultiGpuConfig mcfg;
+    mcfg.numGpus = n;
+    mcfg.gpu = scenario::gpuConfigFor(scn);
+    mgpu::MultiGpu machine(mcfg);
     {
         engine::EngineConfig ec;
         ec.threads = opt.threads;
-        ec.fastForward = opt.fastForward;
-        gpu.setEngine(ec);
+        machine.setEngine(ec);
     }
 
-    // Telemetry: one sink serves --trace, --sample/--timeline, --profile.
-    // Attached before the scenario is submitted so the self-profiler
-    // also sees the functional rasterization work.
-    std::unique_ptr<telemetry::TelemetrySink> sink;
-    const bool wants_telemetry = !opt.trace.empty() || opt.sample != 0 ||
-        !opt.timeline.empty() || opt.profile;
-    if (wants_telemetry) {
+    // Telemetry: one sink per device serves --trace, --sample/--timeline
+    // and the self-profile.
+    const bool profile = opt.profile || !opt.profileJson.empty();
+    std::vector<std::unique_ptr<telemetry::TelemetrySink>> sinks;
+    if (!opt.trace.empty() || opt.sample != 0 || !opt.timeline.empty() ||
+        profile) {
         telemetry::TelemetryConfig tc;
         tc.eventCapacity = 1 << 20;
         tc.sampleInterval = opt.sample;
         if (!opt.timeline.empty() && tc.sampleInterval == 0) {
             tc.sampleInterval = 1000;
         }
-        tc.selfProfile = opt.profile;
-        sink = std::make_unique<telemetry::TelemetrySink>(tc);
-        gpu.setTelemetry(sink.get());
+        tc.selfProfile = profile;
+        for (Gpu *gpu : machine.devices()) {
+            sinks.push_back(
+                std::make_unique<telemetry::TelemetrySink>(tc));
+            gpu->setTelemetry(sinks.back().get());
+        }
     }
 
     // Queue the work.
-    AddressSpace heap;
     scenario::Materialized mat;
     const scenario::SubmitResult sr =
-        scenario::submitScenario(scn, gpu, heap, mat);
+        scenario::submitScenarioMulti(scn, machine, mat);
     const StreamId gfx = sr.gfx;
     const StreamId cmp = sr.cmp;
-    if (sink && opt.profile && mat.pipeline) {
-        mat.pipeline->setProfiler(&sink->profiler());
+    if (profile && mat.pipeline) {
+        mat.pipeline->setProfiler(&sinks[sr.gfxDevice]->profiler());
     }
 
-    // Partitioning.
+    // Partitioning: --policy on one device; a multi-GPU scenario's
+    // placement already partitioned its devices.
     PartitionConfig part;
     std::unique_ptr<WarpedSlicer> slicer;
     std::unique_ptr<TapController> tap;
+    Gpu &gpu = machine.device(0);
     if (opt.policy == "exhaustive") {
         part.policy = PartitionPolicy::Exhaustive;
     } else if (opt.policy == "mps" || opt.policy == "mps-tap") {
@@ -359,7 +260,9 @@ main(int argc, char **argv)
     } else {
         fatal("unknown policy %s", opt.policy.c_str());
     }
-    gpu.setPartition(part);
+    if (n == 1) {
+        gpu.setPartition(part);
+    }
     if (opt.policy == "fg-slicer" && gfx != kInvalidStream &&
         cmp != kInvalidStream) {
         WarpedSlicerConfig wc;
@@ -377,13 +280,26 @@ main(int argc, char **argv)
         gpu.addController(tap.get());
     }
 
+    const std::string machine_name = n == 1
+        ? mcfg.gpu.name
+        : std::to_string(n) + " x " + mcfg.gpu.name;
     if (!opt.quiet) {
-        std::printf("crisp_sim: scenario=%s (\"%s\") gpu=%s policy=%s\n",
+        const char *placement =
+            scn.gpu.placement == scenario::Placement::Split ? "split"
+            : scn.gpu.placement == scenario::Placement::Colocated
+                ? "colocated"
+                : "mig";
+        std::printf("crisp_sim: scenario=%s (\"%s\") gpu=%s %s=%s\n",
                     opt.scenario.c_str(), scn.name.c_str(),
-                    gpu_cfg.name.c_str(), opt.policy.c_str());
+                    machine_name.c_str(), n == 1 ? "policy" : "placement",
+                    n == 1 ? opt.policy.c_str() : placement);
     }
 
-    const auto r = gpu.run(opt.maxCycles);
+    const auto t0 = std::chrono::steady_clock::now();
+    const mgpu::MultiGpu::RunResult r = machine.run(opt.maxCycles);
+    const double wall_sec = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
     if (!r.completed && opt.maxCyclesSet) {
         std::printf("stopped at --max-cycles %llu before draining\n",
                     static_cast<unsigned long long>(opt.maxCycles));
@@ -391,54 +307,92 @@ main(int argc, char **argv)
         fatal_if(!r.completed, "simulation did not drain");
     }
 
-    if (sink && !opt.trace.empty()) {
-        telemetry::writeChromeTrace(*sink, opt.trace);
+    if (!opt.trace.empty()) {
+        std::vector<const telemetry::TelemetrySink *> views;
+        uint64_t emitted = 0;
+        uint64_t dropped = 0;
+        for (const auto &sink : sinks) {
+            views.push_back(sink.get());
+            emitted += sink->emitted();
+            dropped += sink->dropped();
+        }
+        telemetry::writeChromeTrace(views, opt.trace);
         std::printf("wrote %s (%llu events, %llu dropped)\n",
                     opt.trace.c_str(),
-                    static_cast<unsigned long long>(sink->emitted()),
-                    static_cast<unsigned long long>(sink->dropped()));
+                    static_cast<unsigned long long>(emitted),
+                    static_cast<unsigned long long>(dropped));
     }
-    if (sink && !opt.timeline.empty()) {
-        sink->series().toTable().writeCsv(opt.timeline);
-        std::printf("wrote %s (%zu samples)\n", opt.timeline.c_str(),
-                    sink->series().rows());
+    if (!opt.timeline.empty()) {
+        // One device writes FILE, several write FILE.gpu<d>.
+        for (uint32_t d = 0; d < n; ++d) {
+            const std::string path = n == 1
+                ? opt.timeline
+                : opt.timeline + ".gpu" + std::to_string(d);
+            sinks[d]->series().toTable().writeCsv(path);
+            std::printf("wrote %s (%zu samples)\n", path.c_str(),
+                        sinks[d]->series().rows());
+        }
     }
-
     if (!opt.image.empty() && mat.pipeline) {
         mat.pipeline->framebuffer().writePpm(opt.image);
     }
 
-    Table t({"stream", "cycles(first..last)", "kernels", "instructions",
-             "IPC", "L1 hit%", "L2 hit%", "tex acc", "dram rd"});
-    auto add_stream = [&](const char *name, StreamId id) {
+    uint64_t l2_accesses = 0;
+    uint64_t l2_hits = 0;
+    double dram_busy = 0.0;
+    uint64_t ff_jumps = 0;
+    uint64_t ff_cycles = 0;
+    for (const Gpu *dev : machine.devices()) {
+        l2_accesses += dev->l2().accesses();
+        l2_hits += dev->l2().hits();
+        dram_busy += dev->l2().dramBusyCycles();
+        ff_jumps += dev->fastForwardJumps();
+        ff_cycles += dev->fastForwardCycles();
+    }
+    std::printf("total: %llu cycles = %.4f ms on %s (L2 hit %.1f%%, DRAM "
+                "busy %.1f%%)\n\n",
+                static_cast<unsigned long long>(r.cycles),
+                mcfg.gpu.cyclesToMs(r.cycles), machine_name.c_str(),
+                l2_accesses == 0 ? 0.0
+                                 : 100.0 * static_cast<double>(l2_hits) /
+                                       static_cast<double>(l2_accesses),
+                100.0 * dram_busy / n / r.cycles);
+    if (n > 1) {
+        const mgpu::InterGpuFabric &fabric = machine.fabric();
+        std::printf("fabric: %llu remote reqs, %llu migrations, %llu "
+                    "bytes\n",
+                    static_cast<unsigned long long>(
+                        fabric.requestsAccepted()),
+                    static_cast<unsigned long long>(fabric.pageMigrations()),
+                    static_cast<unsigned long long>(
+                        fabric.bytesTransferred()));
+    }
+    std::printf("fast-forward: %llu jumps skipped %llu idle cycles\n",
+                static_cast<unsigned long long>(ff_jumps),
+                static_cast<unsigned long long>(ff_cycles));
+
+    Table t({"stream", "device", "cycles(first..last)", "kernels",
+             "instructions", "IPC", "L1 hit%", "L2 hit%", "tex acc",
+             "remote", "dram rd"});
+    auto add_stream = [&](const char *name, StreamId id, uint32_t dev) {
         if (id == kInvalidStream) {
             return;
         }
-        const StreamStats &st = gpu.stats().stream(id);
-        t.addRow({name,
+        Gpu &g = machine.device(dev);
+        const StreamStats &st = g.stats().stream(id);
+        t.addRow({name, std::to_string(dev),
                   std::to_string(st.firstCycle) + ".." +
-                      std::to_string(gpu.streamFinishCycle(id)),
+                      std::to_string(g.streamFinishCycle(id)),
                   std::to_string(st.kernelsCompleted),
                   std::to_string(st.instructions), Table::num(st.ipc(), 2),
                   Table::num(100 * st.l1HitRate(), 1),
                   Table::num(100 * st.l2HitRate(), 1),
                   std::to_string(st.l1TexAccesses),
+                  std::to_string(st.remoteAccesses),
                   std::to_string(st.dramReads)});
     };
-    add_stream("graphics", gfx);
-    add_stream("compute", cmp);
-    std::printf("total: %llu cycles = %.4f ms on %s (L2 hit %.1f%%, DRAM "
-                "busy %.1f%%)\n\n",
-                static_cast<unsigned long long>(r.cycles),
-                gpu_cfg.cyclesToMs(r.cycles), gpu_cfg.name.c_str(),
-                100.0 * gpu.l2().hitRate(),
-                100.0 * gpu.l2().dramBusyCycles() / r.cycles);
-    if (opt.fastForward) {
-        std::printf("fast-forward: %llu jumps skipped %llu idle cycles\n",
-                    static_cast<unsigned long long>(gpu.fastForwardJumps()),
-                    static_cast<unsigned long long>(
-                        gpu.fastForwardCycles()));
-    }
+    add_stream("graphics", gfx, sr.gfxDevice);
+    add_stream("compute", cmp, sr.cmpDevice);
     std::printf("%s", t.toText().c_str());
     if (!opt.csv.empty()) {
         t.writeCsv(opt.csv);
@@ -446,22 +400,36 @@ main(int argc, char **argv)
     }
     if (opt.kernels) {
         std::printf("\nper-kernel execution log:\n");
-        Table kt({"kernel", "stream", "CTAs", "launch", "complete",
-                  "cycles"});
-        for (const auto &rec : gpu.kernelLog()) {
-            kt.addRow({rec.name,
-                       rec.stream == gfx ? "graphics" : "compute",
-                       std::to_string(rec.ctas),
-                       std::to_string(rec.launchCycle),
-                       std::to_string(rec.completeCycle),
-                       std::to_string(rec.completeCycle -
-                                      rec.launchCycle)});
+        Table kt({"kernel", "device", "stream", "CTAs", "launch",
+                  "complete", "cycles"});
+        for (uint32_t d = 0; d < n; ++d) {
+            for (const auto &rec : machine.device(d).kernelLog()) {
+                kt.addRow({rec.name, std::to_string(d),
+                           rec.stream == gfx ? "graphics" : "compute",
+                           std::to_string(rec.ctas),
+                           std::to_string(rec.launchCycle),
+                           std::to_string(rec.completeCycle),
+                           std::to_string(rec.completeCycle -
+                                          rec.launchCycle)});
+            }
         }
         std::printf("%s", kt.toText().c_str());
     }
-    if (sink && opt.profile) {
-        std::printf("\nsimulator self-profile (wall clock):\n%s",
-                    sink->profiler().render(r.cycles).c_str());
+    if (profile) {
+        // Every device's profile, summed.
+        telemetry::SelfProfiler total;
+        for (const auto &sink : sinks) {
+            total.absorb(sink->profiler());
+        }
+        if (opt.profile) {
+            std::printf("\nsimulator self-profile (wall clock):\n%s",
+                        total.render(r.cycles).c_str());
+        }
+        if (!opt.profileJson.empty()) {
+            writeProfileJson(opt.profileJson, scn, total, r.cycles,
+                             wall_sec);
+            std::printf("wrote %s\n", opt.profileJson.c_str());
+        }
     }
     return 0;
 }

@@ -105,6 +105,30 @@ Histogram::selfConsistent() const
     return total == samples_;
 }
 
+const std::array<StreamStatsField, 21> kStreamStatsFields{{
+    {"cycles", &StreamStats::cycles},
+    {"instructions", &StreamStats::instructions},
+    {"warps_launched", &StreamStats::warpsLaunched},
+    {"ctas_launched", &StreamStats::ctasLaunched},
+    {"kernels_completed", &StreamStats::kernelsCompleted},
+    {"l1_accesses", &StreamStats::l1Accesses},
+    {"l1_hits", &StreamStats::l1Hits},
+    {"l1_mshr_merges", &StreamStats::l1MshrMerges},
+    {"l1_tex_accesses", &StreamStats::l1TexAccesses},
+    {"l2_accesses", &StreamStats::l2Accesses},
+    {"l2_hits", &StreamStats::l2Hits},
+    {"l2_mshr_merges", &StreamStats::l2MshrMerges},
+    {"dram_reads", &StreamStats::dramReads},
+    {"dram_writes", &StreamStats::dramWrites},
+    {"smem_accesses", &StreamStats::smemAccesses},
+    {"smem_bank_conflicts", &StreamStats::smemBankConflicts},
+    {"remote_accesses", &StreamStats::remoteAccesses},
+    {"remote_responses", &StreamStats::remoteResponses},
+    {"page_migrations", &StreamStats::pageMigrations},
+    {"first_cycle", &StreamStats::firstCycle},
+    {"last_cycle", &StreamStats::lastCycle},
+}};
+
 void
 StreamStats::absorb(const StreamStats &delta)
 {

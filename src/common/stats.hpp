@@ -1,6 +1,7 @@
 #ifndef CRISP_COMMON_STATS_HPP
 #define CRISP_COMMON_STATS_HPP
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -107,6 +108,17 @@ struct StreamStats
     double l2HitRate() const;
     double ipc() const;
 };
+
+/** A StreamStats field and its stable snake_case name. */
+struct StreamStatsField
+{
+    const char *name;
+    uint64_t StreamStats::*member;
+};
+
+/** Every StreamStats field, in declaration order: job reports list them
+ *  by these names, and equality checks walk them all. */
+extern const std::array<StreamStatsField, 21> kStreamStatsFields;
 
 /**
  * Registry of named scalar counters plus per-stream stat blocks.

@@ -52,10 +52,13 @@ struct EngineConfig
      * the machine, compute the earliest cycle at which anything can
      * happen (writeback, L2/DRAM event, kernel promotion, counter
      * sample, controller epoch) and jump there in one step, crediting
-     * the skipped cycles to the per-stream active-cycle counters.
-     * Defaults to off: the legacy path ticks through idle spells.
+     * the skipped cycles to the per-stream active-cycle counters. It
+     * is exact, so it is always on; fault injection disarms it. Only
+     * the tick-vs-jump differential tests (their ticked reference),
+     * bench/engine_throughput (a cycle-loop figure) and perfbench set
+     * the field, and it goes once perfbench stops setting it.
      */
-    bool fastForward = false;
+    bool fastForward = true;
 
     /** True when SM stepping must stage instead of submitting directly. */
     bool staged() const { return threads > 1 || stagedFabric; }

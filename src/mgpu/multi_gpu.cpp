@@ -28,19 +28,24 @@ MultiGpuConfig::quadRtx3070()
 
 MultiGpu::MultiGpu(const MultiGpuConfig &cfg) : cfg_(cfg)
 {
-    fatal_if(cfg_.numGpus < 2 || cfg_.numGpus > 8,
-             "MultiGpu models 2..8 devices, not %u", cfg_.numGpus);
+    fatal_if(cfg_.numGpus < 1 || cfg_.numGpus > kMaxGpus,
+             "MultiGpu models 1..%u devices, not %u", kMaxGpus,
+             cfg_.numGpus);
     fatal_if(cfg_.streamIdStride == 0, "stream-id stride must be non-zero");
-    fabric_ = std::make_unique<InterGpuFabric>(cfg_.fabric, cfg_.numGpus,
-                                               cfg_.windowBytes);
-    devices_.reserve(cfg_.numGpus);
+    if (cfg_.numGpus > 1) {
+        fabric_ = std::make_unique<InterGpuFabric>(
+            cfg_.fabric, cfg_.numGpus, cfg_.windowBytes);
+    }
     for (uint32_t d = 0; d < cfg_.numGpus; ++d) {
-        devices_.push_back(std::make_unique<Gpu>(cfg_.gpu));
-        Gpu &gpu = *devices_.back();
+        owned_.push_back(std::make_unique<Gpu>(cfg_.gpu));
+        Gpu &gpu = *owned_.back();
+        devices_.push_back(&gpu);
         gpu.setDeviceId(d);
         gpu.setStreamIdBase(d * cfg_.streamIdStride);
-        gpu.setRemotePort(fabric_.get());
-        fabric_->attachDevice(d, &gpu);
+        if (fabric_) {
+            gpu.setRemotePort(fabric_.get());
+            fabric_->attachDevice(d, &gpu);
+        }
     }
 }
 
@@ -58,6 +63,20 @@ MultiGpu::device(uint32_t d) const
 {
     fatal_if(d >= devices_.size(), "device %u out of range", d);
     return *devices_[d];
+}
+
+InterGpuFabric &
+MultiGpu::fabric()
+{
+    fatal_if(!fabric_, "a 1-device machine has no fabric");
+    return *fabric_;
+}
+
+const InterGpuFabric &
+MultiGpu::fabric() const
+{
+    fatal_if(!fabric_, "a 1-device machine has no fabric");
+    return *fabric_;
 }
 
 Addr
@@ -78,7 +97,7 @@ MultiGpu::heapFor(uint32_t d, Addr local_base) const
 void
 MultiGpu::setEngine(const engine::EngineConfig &engine)
 {
-    for (auto &gpu : devices_) {
+    for (Gpu *gpu : devices_) {
         gpu->setEngine(engine);
     }
 }
@@ -88,13 +107,9 @@ MultiGpu::run(Cycle max_cycles, const integrity::RunOptions &opts)
 {
     fatal_if(opts.telemetry != nullptr,
              "attach telemetry per device (Gpu::setTelemetry)");
-    std::vector<Gpu *> devices;
-    for (auto &gpu : devices_) {
-        devices.push_back(gpu.get());
-    }
     RunResult result;
     static_cast<Gpu::RunResult &>(result) = Gpu::runMachine(
-        devices, fabric_.get(), max_cycles, opts,
+        devices_, fabric_.get(), max_cycles, opts,
         [this](Cycle now,
                std::vector<integrity::InvariantViolation> &out) {
             audit(now, out);
@@ -120,7 +135,7 @@ StatsRegistry
 MultiGpu::mergedStats() const
 {
     StatsRegistry merged;
-    for (const auto &gpu : devices_) {
+    for (const Gpu *gpu : devices_) {
         // absorbShadow mutates its source; fold a copy instead.
         StatsRegistry shadow = gpu->stats();
         merged.absorbShadow(shadow);
@@ -132,10 +147,16 @@ void
 MultiGpu::audit(Cycle now,
                 std::vector<integrity::InvariantViolation> &out) const
 {
+    if (!fabric_) {
+        // One device: the single-GPU identities, exactly as Gpu::run.
+        const Gpu &gpu = *devices_.front();
+        audit::auditAll(gpu.stats(), gpu.constSms(), gpu.l2(), now, out);
+        return;
+    }
     const StatsRegistry merged = mergedStats();
     std::vector<const Sm *> sms;
     std::vector<const L2Subsystem *> l2s;
-    for (const auto &gpu : devices_) {
+    for (const Gpu *gpu : devices_) {
         const std::vector<const Sm *> dev_sms = gpu->constSms();
         sms.insert(sms.end(), dev_sms.begin(), dev_sms.end());
         l2s.push_back(&gpu->l2());

@@ -15,9 +15,13 @@ namespace crisp
 namespace mgpu
 {
 
+/** Largest machine MultiGpu models (and a scenario may ask for). */
+constexpr uint32_t kMaxGpus = 8;
+
 /** Configuration of an N-device machine: per-device GPU + fabric knobs. */
 struct MultiGpuConfig
 {
+    /** 1..kMaxGpus devices; one device has no fabric. */
     uint32_t numGpus = 2;
 
     /** Every device runs the same per-device configuration. */
@@ -47,12 +51,14 @@ struct MultiGpuConfig
 };
 
 /**
- * Top level of a multi-GPU machine: owns N Gpu devices and the
- * InterGpuFabric between them, runs them through the same loop as a
- * single GPU (Gpu::runMachine: lockstep ticks, fabric first, then
- * devices in id order — all serial on the main thread, so the
- * per-device parallel engines keep threads 1/2/4 byte-identical), and
- * closes the conservation identities machine-wide.
+ * The simulated machine every front end runs: owns N Gpu devices and,
+ * for N > 1, the InterGpuFabric between them, runs them through
+ * Gpu::runMachine (lockstep ticks, fabric first, then devices in id
+ * order — all serial on the main thread, so the per-device parallel
+ * engines keep threads 1/2/4 byte-identical), and closes the
+ * conservation identities machine-wide. A 1-device machine is exactly a
+ * bare Gpu: stream ids from 0, heapFor(0) at the single-GPU heap base,
+ * and the single-GPU counter audit.
  */
 class MultiGpu
 {
@@ -63,8 +69,11 @@ class MultiGpu
     uint32_t numGpus() const { return cfg_.numGpus; }
     Gpu &device(uint32_t d);
     const Gpu &device(uint32_t d) const;
-    InterGpuFabric &fabric() { return *fabric_; }
-    const InterGpuFabric &fabric() const { return *fabric_; }
+    /** Every device, in id order. */
+    const std::vector<Gpu *> &devices() { return devices_; }
+    /** The inter-GPU fabric (numGpus() > 1 only). */
+    InterGpuFabric &fabric();
+    const InterGpuFabric &fabric() const;
     const MultiGpuConfig &config() const { return cfg_; }
 
     /** First byte of device @p d's static heap window. */
@@ -77,10 +86,7 @@ class MultiGpu
      */
     AddressSpace heapFor(uint32_t d, Addr local_base = 0x1000'0000ull) const;
 
-    /**
-     * Configure every device's cycle engine (before the first tick);
-     * fastForward there arms the machine-wide idle jump.
-     */
+    /** Configure every device's cycle engine (before the first tick). */
     void setEngine(const engine::EngineConfig &engine);
 
     /** The machine clock (every device runs in lockstep with it). */
@@ -119,8 +125,9 @@ class MultiGpu
 
   private:
     MultiGpuConfig cfg_;
-    std::unique_ptr<InterGpuFabric> fabric_;
-    std::vector<std::unique_ptr<Gpu>> devices_;
+    std::unique_ptr<InterGpuFabric> fabric_;   ///< Null on one device.
+    std::vector<std::unique_ptr<Gpu>> owned_;
+    std::vector<Gpu *> devices_;
 };
 
 } // namespace mgpu

@@ -1,8 +1,9 @@
 #include "scenario/build.hpp"
 
+#include <array>
 #include <cmath>
-#include <functional>
 #include <map>
+#include <span>
 
 #include "common/logging.hpp"
 #include "common/rng.hpp"
@@ -228,14 +229,13 @@ buildPresetCompute(const ComputeDesc &cd, AddressSpace &heap,
     return buildTimewarp(heap, color, cd.width, cd.height);
 }
 
-/** One KernelInfo per explicit kernel node, buffers resolved to heap.
- *  @p buffer_heap (when set) picks a per-buffer heap instead of @p heap —
- *  the multi-GPU path homing "device"-tagged buffers in other windows. */
+/** One KernelInfo per explicit kernel node. Each buffer allocates from
+ *  heaps[its "device"], or heaps[@p home] (the compute stream's device)
+ *  when it names none — a buffer homed on another device's window makes
+ *  its L1 misses remote. */
 std::vector<KernelInfo>
-buildExplicitKernels(const ComputeDesc &cd, AddressSpace &heap,
-                     RenderPipeline *pipeline,
-                     const std::function<AddressSpace &(const BufferNode &)>
-                         &buffer_heap = {})
+buildExplicitKernels(const ComputeDesc &cd, std::span<AddressSpace> heaps,
+                     uint32_t home, RenderPipeline *pipeline)
 {
     struct Region
     {
@@ -244,7 +244,8 @@ buildExplicitKernels(const ComputeDesc &cd, AddressSpace &heap,
     };
     std::map<std::string, Region> regions;
     for (const BufferNode &b : cd.buffers) {
-        AddressSpace &h = buffer_heap ? buffer_heap(b) : heap;
+        AddressSpace &h =
+            heaps[b.device >= 0 ? static_cast<uint32_t>(b.device) : home];
         regions[b.name] = {h.alloc(b.bytes), b.bytes};
     }
     auto resolve = [&](const LoadNode &ln) {
@@ -348,58 +349,28 @@ burstBases(const ScheduleNode &s, double core_clock_mhz)
     return bases;
 }
 
-SubmitResult
-submitScenario(const Scenario &sc, Gpu &gpu, AddressSpace &heap,
-               Materialized &out)
+namespace
 {
-    fatal_if(sc.gpu.numGpus > 1,
-             "scenario '%s' asks for %u GPUs; submit it with "
-             "submitScenarioMulti",
-             sc.name.c_str(), sc.gpu.numGpus);
-    SubmitResult r;
-    GfxBuild gb;
-    if (sc.graphics.present) {
-        gb = prepareGraphics(sc, heap, out);
-        r.gfx = gpu.createStream("graphics");
-    }
-    if (sc.compute.present) {
-        r.cmp = gpu.createStream("compute");
-    }
-    for (uint32_t f = 0; sc.graphics.present && f < sc.graphics.frames;
-         ++f) {
-        out.frames.push_back(
-            renderFrame(sc, gb, f, heap, *out.pipeline));
-        submitFrame(gpu, r.gfx, out.frames.back(),
-                    sc.graphics.fixedFunctionDelay);
-    }
-    if (r.cmp != kInvalidStream) {
-        const ComputeDesc &cd = sc.compute;
-        if (!cd.preset.empty()) {
-            // Preset workloads serialize in stream order.
-            for (const KernelInfo &k :
-                 buildPresetCompute(cd, heap, out.pipeline.get())) {
-                gpu.enqueueKernel(r.cmp, k);
-            }
-        } else {
-            enqueueExplicit(gpu, r.cmp, cd,
-                            buildExplicitKernels(cd, heap,
-                                                 out.pipeline.get()));
-        }
-    }
-    return r;
-}
 
-MultiSubmitResult
-submitScenarioMulti(const Scenario &sc, mgpu::MultiGpu &mgpu,
-                    Materialized &out)
+/**
+ * The one materialize-and-enqueue body: resolve the placement to a
+ * device per stream, then build and enqueue exactly as on one GPU, with
+ * each allocation from its device's heap (heaps[d] belongs to
+ * devices[d]).
+ */
+SubmitResult
+submitOn(const Scenario &sc, std::span<Gpu *const> devices,
+         std::span<AddressSpace> heaps, Materialized &out)
 {
-    const uint32_t n = mgpu.config().numGpus;
-    MultiSubmitResult r;
+    const uint32_t n = static_cast<uint32_t>(devices.size());
+    fatal_if(sc.gpu.numGpus != n,
+             "scenario '%s' asks for %u GPUs, the machine has %u",
+             sc.name.c_str(), sc.gpu.numGpus, n);
+    SubmitResult r;
     PartitionPolicy policy = PartitionPolicy::Exhaustive;
     switch (sc.gpu.placement) {
     case Placement::Split:
-        r.gfxDevice = 0;
-        r.cmpDevice = 1;
+        r.cmpDevice = n > 1 ? 1 : 0;
         break;
     case Placement::Colocated:
         policy = PartitionPolicy::Mps;
@@ -416,50 +387,36 @@ submitScenarioMulti(const Scenario &sc, mgpu::MultiGpu &mgpu,
     }
     fatal_if(r.gfxDevice >= n || r.cmpDevice >= n,
              "scenario stream device out of range");
-
-    // One heap per device, each at the single-GPU layout's local base
-    // offset into that device's address window — addresses outlive the
-    // allocators, which only exist for the duration of the build.
-    std::vector<AddressSpace> heaps;
-    heaps.reserve(n);
-    for (uint32_t d = 0; d < n; ++d) {
-        heaps.push_back(mgpu.heapFor(d));
-    }
+    Gpu &ggpu = *devices[r.gfxDevice];
+    Gpu &cgpu = *devices[r.cmpDevice];
 
     GfxBuild gb;
     if (sc.graphics.present) {
         gb = prepareGraphics(sc, heaps[r.gfxDevice], out);
-        r.gfx = mgpu.device(r.gfxDevice).createStream("graphics");
+        r.gfx = ggpu.createStream("graphics");
     }
     if (sc.compute.present) {
-        r.cmp = mgpu.device(r.cmpDevice).createStream("compute");
+        r.cmp = cgpu.createStream("compute");
     }
     for (uint32_t f = 0; sc.graphics.present && f < sc.graphics.frames;
          ++f) {
         out.frames.push_back(renderFrame(sc, gb, f, heaps[r.gfxDevice],
                                          *out.pipeline));
-        submitFrame(mgpu.device(r.gfxDevice), r.gfx, out.frames.back(),
+        submitFrame(ggpu, r.gfx, out.frames.back(),
                     sc.graphics.fixedFunctionDelay);
     }
     if (r.cmp != kInvalidStream) {
         const ComputeDesc &cd = sc.compute;
-        Gpu &cgpu = mgpu.device(r.cmpDevice);
         if (!cd.preset.empty()) {
+            // Preset workloads serialize in stream order.
             for (const KernelInfo &k : buildPresetCompute(
                      cd, heaps[r.cmpDevice], out.pipeline.get())) {
                 cgpu.enqueueKernel(r.cmp, k);
             }
         } else {
-            const std::function<AddressSpace &(const BufferNode &)>
-                buffer_heap = [&](const BufferNode &b) -> AddressSpace & {
-                return heaps[b.device >= 0
-                                 ? static_cast<uint32_t>(b.device)
-                                 : r.cmpDevice];
-            };
             enqueueExplicit(cgpu, r.cmp, cd,
-                            buildExplicitKernels(cd, heaps[r.cmpDevice],
-                                                 out.pipeline.get(),
-                                                 buffer_heap));
+                            buildExplicitKernels(cd, heaps, r.cmpDevice,
+                                                 out.pipeline.get()));
         }
     }
 
@@ -472,9 +429,33 @@ submitScenarioMulti(const Scenario &sc, mgpu::MultiGpu &mgpu,
         r.cmp != kInvalidStream) {
         PartitionConfig part;
         part.policy = policy;
-        mgpu.device(r.gfxDevice).setPartition(part);
+        ggpu.setPartition(part);
     }
     return r;
+}
+
+} // namespace
+
+SubmitResult
+submitScenario(const Scenario &sc, Gpu &gpu, AddressSpace &heap,
+               Materialized &out)
+{
+    Gpu *const device = &gpu;
+    return submitOn(sc, {&device, 1}, {&heap, 1}, out);
+}
+
+SubmitResult
+submitScenarioMulti(const Scenario &sc, mgpu::MultiGpu &mgpu,
+                    Materialized &out)
+{
+    // Each device's heap starts at the single-GPU layout's base, offset
+    // into that device's window; addresses outlive the allocators.
+    std::array<AddressSpace, mgpu::kMaxGpus> heaps;
+    for (uint32_t d = 0; d < mgpu.numGpus(); ++d) {
+        heaps[d] = mgpu.heapFor(d);
+    }
+    return submitOn(sc, mgpu.devices(), {heaps.data(), mgpu.numGpus()},
+                    out);
 }
 
 bool
@@ -570,7 +551,7 @@ flattenComputeSide(const Scenario &sc, AddressSpace &heap,
             deps.push_back(i == 0 ? -1 : static_cast<int>(i) - 1);
         }
     } else {
-        kernels = buildExplicitKernels(cd, heap, pipeline);
+        kernels = buildExplicitKernels(cd, {&heap, 1}, 0, pipeline);
         std::map<std::string, int> index;
         for (size_t i = 0; i < cd.kernels.size(); ++i) {
             const KernelNode &kn = cd.kernels[i];

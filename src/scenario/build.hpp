@@ -28,55 +28,44 @@ struct Materialized
     std::vector<RenderSubmission> frames;
 };
 
-/** Stream ids the scenario's work landed on (kInvalidStream = no side). */
+/** Stream ids the scenario's work landed on (kInvalidStream = no side)
+ *  and the device each stream runs on under the scenario's placement. */
 struct SubmitResult
-{
-    StreamId gfx = kInvalidStream;
-    StreamId cmp = kInvalidStream;
-};
-
-/**
- * Materialize a single-GPU scenario and enqueue all of its work on
- * @p gpu (a gpu.num_gpus > 1 scenario is a fatal error here; see
- * submitScenarioMulti).
- *
- * The call sequence is fixed — scene, pipeline, graphics stream, compute
- * stream, per-frame submission, compute enqueue — with the same
- * heap-allocation pattern as assembling those pieces by hand from the
- * workloads library, so a preset-backed scenario file replays
- * bit-identically to the equivalent hand-built submission.
- *
- * Partitioning is not part of the scenario (callers pick the policy);
- * call Gpu::setPartition after this returns.
- */
-SubmitResult submitScenario(const Scenario &sc, Gpu &gpu,
-                            AddressSpace &heap, Materialized &out);
-
-/** submitScenarioMulti's SubmitResult: stream ids plus the device each
- *  stream landed on under the scenario's placement. */
-struct MultiSubmitResult
 {
     StreamId gfx = kInvalidStream;
     StreamId cmp = kInvalidStream;
     uint32_t gfxDevice = 0;
     uint32_t cmpDevice = 0;
 };
+using MultiSubmitResult = SubmitResult;
 
 /**
- * Materialize a multi-GPU scenario (gpu.num_gpus > 1) onto @p mgpu.
+ * Materialize a scenario and enqueue all of its work on @p mgpu, which
+ * must have the scenario's gpu.num_gpus devices (1..8).
+ *
+ * The call sequence is fixed — scene, pipeline, graphics stream, compute
+ * stream, per-frame submission, compute enqueue — with the same
+ * heap-allocation pattern as assembling those pieces by hand from the
+ * workloads library, so a preset-backed scenario file replays
+ * bit-identically to the equivalent hand-built submission. Device d
+ * allocates from mgpu.heapFor(d).
  *
  * The gpu.placement knob resolves each stream to a device — split puts
  * graphics on device 0 and compute on device 1, colocated/mig put both
  * on device 0 (with the matching MPS/MiG partition applied) — and
- * per-stream "device" fields override it. Graphics resources allocate
- * from the graphics device's heap window, compute buffers from the
- * compute device's, and a buffer's own "device" field overrides that;
- * a buffer homed away from the stream that touches it makes every L1
- * miss a remote access over the inter-GPU fabric.
+ * per-stream "device" fields override it. A buffer's own "device" field
+ * homes it in that device's window; a buffer homed away from the stream
+ * that touches it makes every L1 miss a remote access over the
+ * inter-GPU fabric. A 1-device scenario gets no partition here: callers
+ * pick the policy and call Gpu::setPartition after this returns.
  */
-MultiSubmitResult submitScenarioMulti(const Scenario &sc,
-                                      mgpu::MultiGpu &mgpu,
-                                      Materialized &out);
+SubmitResult submitScenarioMulti(const Scenario &sc, mgpu::MultiGpu &mgpu,
+                                 Materialized &out);
+
+/** submitScenarioMulti on a bare Gpu allocating from @p heap (a
+ *  1-device scenario only). */
+SubmitResult submitScenario(const Scenario &sc, Gpu &gpu,
+                            AddressSpace &heap, Materialized &out);
 
 /**
  * Arrival cycle of each burst of @p s: b*period for the periodic model,
@@ -139,7 +128,8 @@ void flattenComputeSide(const Scenario &sc, AddressSpace &heap,
  * Flatten the whole scenario without a Gpu (trace packing, cache
  * population): graphics side first, then compute, matching the live
  * path's heap-allocation order. Returns false with @p why set when not
- * flattenable(); such scenarios still run live through submitScenario.
+ * flattenable(); such scenarios still run live through
+ * submitScenarioMulti.
  */
 bool flattenScenario(const Scenario &sc, AddressSpace &heap,
                      Materialized &out, Flattened &flat, std::string &why);

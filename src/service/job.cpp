@@ -134,6 +134,16 @@ JobReport::toJson() const
         v.push(Json::str(check));
     }
     j.set("violations", std::move(v));
+    Json streams_json = Json::array();
+    for (const auto &[sid, st] : streams) {
+        Json s = Json::object();
+        s.set("id", Json::number(uint64_t{sid}));
+        for (const StreamStatsField &f : kStreamStatsFields) {
+            s.set(f.name, Json::number(st.*f.member));
+        }
+        streams_json.push(std::move(s));
+    }
+    j.set("streams", std::move(streams_json));
     return j;
 }
 
@@ -152,6 +162,13 @@ JobReport::fromJson(const Json &j)
     r.kernelsCompleted = j.at("kernels_completed").asU64(0);
     for (const Json &v : j.at("violations").items()) {
         r.violations.push_back(v.asString());
+    }
+    for (const Json &s : j.at("streams").items()) {
+        StreamStats &st =
+            r.streams[static_cast<StreamId>(s.at("id").asU64(0))];
+        for (const StreamStatsField &f : kStreamStatsFields) {
+            st.*f.member = s.at(f.name).asU64(0);
+        }
     }
     return r;
 }

@@ -2,9 +2,11 @@
 #define CRISP_SERVICE_JOB_HPP
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "service/json.hpp"
 
@@ -126,6 +128,8 @@ struct JobReport
     uint64_t kernelsCompleted = 0;
     /** Check names of integrity/audit violations ("counter-*", ...). */
     std::vector<std::string> violations;
+    /** Per-stream statistics, every device of the machine merged. */
+    std::map<StreamId, StreamStats> streams;
 
     Json toJson() const;
     static JobReport fromJson(const Json &j);

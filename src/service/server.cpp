@@ -12,6 +12,7 @@
 #include "core/sm.hpp"
 #include "gpu/gpu.hpp"
 #include "integrity/fault_injector.hpp"
+#include "mgpu/multi_gpu.hpp"
 #include "scenario/build.hpp"
 #include "traceio/reader.hpp"
 
@@ -91,13 +92,6 @@ validRange(uint32_t v, uint32_t lo, uint32_t hi)
 std::string
 scenarioAdmissionError(const scenario::Scenario &sc)
 {
-    if (sc.gpu.numGpus > 1) {
-        // Jobs run on one Gpu; a multi-GPU scenario's placement and
-        // per-buffer devices would be silently dropped.
-        return "malformed: scenario gpu.num_gpus " +
-               std::to_string(sc.gpu.numGpus) +
-               " > 1 (crispd runs single-GPU scenarios only)";
-    }
     if (sc.graphics.present) {
         if (!validRange(sc.graphics.frames, 1, 8)) {
             return "malformed: scenario graphics.frames out of range "
@@ -568,15 +562,22 @@ JobServer::runJob(Record &rec)
         }
 
         // Fresh machine per attempt: a retried build must not inherit
-        // kernels half-enqueued by the failed one.
-        Gpu gpu(spec.scenarioText.empty() ? traceMachine(spec)
-                                          : scenario::gpuConfigFor(
-                                                rec.scenario));
+        // kernels half-enqueued by the failed one. A trace job runs on
+        // one device, a scenario job on the devices its gpu section asks
+        // for.
+        mgpu::MultiGpuConfig mcfg;
+        if (spec.scenarioText.empty()) {
+            mcfg.numGpus = 1;
+            mcfg.gpu = traceMachine(spec);
+        } else {
+            mcfg.numGpus = rec.scenario.gpu.numGpus;
+            mcfg.gpu = scenario::gpuConfigFor(rec.scenario);
+        }
+        mgpu::MultiGpu machine(mcfg);
 
         engine::EngineConfig ec;
         ec.threads = spec.quota.maxEngineThreads;
-        ec.fastForward = true;
-        gpu.setEngine(ec);
+        machine.setEngine(ec);
 
         std::unique_ptr<integrity::FaultInjector> injector;
         if (spec.fault.enabled) {
@@ -591,12 +592,11 @@ JobServer::runJob(Record &rec)
             fc.maxDroppedFills = 4;
             injector =
                 std::make_unique<integrity::FaultInjector>(fc);
-            gpu.setFaultInjector(injector.get());
+            machine.device(0).setFaultInjector(injector.get());
         }
 
         // The scenario's Materialized state (scenes, pipeline) is what
         // the enqueued trace generators reference during the run.
-        AddressSpace heap{0x8000'0000ull};
         scenario::Materialized mat;
         std::string err;
         bool transient = false;
@@ -604,9 +604,10 @@ JobServer::runJob(Record &rec)
         {
             std::shared_lock<std::shared_mutex> cacheLk(cacheMu_);
             if (spec.scenarioText.empty()) {
-                built = buildTraceJob(spec.tracePath, gpu, err, transient);
+                built = buildTraceJob(spec.tracePath, machine.device(0),
+                                      err, transient);
             } else {
-                buildScenarioJob(rec.scenario, gpu, heap, mat);
+                buildScenarioJob(rec.scenario, machine, mat);
             }
         }
         if (!built) {
@@ -636,19 +637,23 @@ JobServer::runJob(Record &rec)
         opts.onHang = integrity::RunOptions::OnHang::Report;
         opts.cancel = &rec.cancelFlag;
 
-        const Gpu::RunResult r = gpu.run(spec.quota.maxCycles, opts);
+        const mgpu::MultiGpu::RunResult r =
+            machine.run(spec.quota.maxCycles, opts);
+        const StatsRegistry stats = machine.mergedStats();
         rep.cycles = r.cycles;
-        rep.instructions =
-            gpu.stats().sumOver(&StreamStats::instructions);
+        rep.instructions = stats.sumOver(&StreamStats::instructions);
         rep.kernelsCompleted =
-            gpu.stats().sumOver(&StreamStats::kernelsCompleted);
-        if (r.hang.has_value()) {
+            stats.sumOver(&StreamStats::kernelsCompleted);
+        rep.streams = stats.allStreams();
+        for (const integrity::InvariantViolation &v : r.violations) {
+            rep.violations.push_back(v.check);
+        }
+        if (!r.violations.empty() || r.hang.has_value()) {
+            // The watchdog, a periodic audit or the end-of-run audit.
             rep.state = JobState::Hung;
-            rep.message = r.hang->reason;
-            for (const integrity::InvariantViolation &v :
-                 r.hang->violations) {
-                rep.violations.push_back(v.check);
-            }
+            rep.message = r.hang
+                ? r.hang->reason
+                : "invariant violation: " + r.violations.front().check;
         } else if (r.cancelled) {
             finishCancelled(rec, rep);
         } else if (r.completed) {
@@ -744,19 +749,24 @@ JobServer::buildTraceJob(const std::string &path, Gpu &gpu,
 }
 
 void
-JobServer::buildScenarioJob(const scenario::Scenario &sc, Gpu &gpu,
-                            AddressSpace &heap, scenario::Materialized &mat)
+JobServer::buildScenarioJob(const scenario::Scenario &sc,
+                            mgpu::MultiGpu &machine,
+                            scenario::Materialized &mat)
 {
     std::string why;
     if (!cache_.enabled() || !scenario::flattenable(sc, why) ||
         scenario::computeReadsFrame(sc)) {
-        // Live build: arrival schedules have no packed representation,
-        // frame-sampling compute needs the pipeline the graphics entry
-        // would have skipped, and without a cache there is nothing to
-        // hit.
-        scenario::submitScenario(sc, gpu, heap, mat);
+        // Live build: arrival schedules and multi-GPU machines have no
+        // packed representation, frame-sampling compute needs the
+        // pipeline the graphics entry would have skipped, and without a
+        // cache there is nothing to hit.
+        scenario::submitScenarioMulti(sc, machine, mat);
         return;
     }
+    // Flattenable means one device: build at its heap, like every other
+    // entry point.
+    Gpu &gpu = machine.device(0);
+    AddressSpace heap = machine.heapFor(0);
 
     // Cacheable: the two sides are independent entries keyed by the
     // canonicalized scenario text (machine section included) plus the

@@ -24,8 +24,12 @@
 
 namespace crisp
 {
-class AddressSpace;
 class Gpu;
+}
+
+namespace crisp::mgpu
+{
+class MultiGpu;
 }
 
 namespace crisp::scenario
@@ -203,8 +207,9 @@ class JobServer
     JobReport runJob(Record &rec);
     bool buildTraceJob(const std::string &path, Gpu &gpu,
                        std::string &error, bool &transient);
-    void buildScenarioJob(const scenario::Scenario &sc, Gpu &gpu,
-                          AddressSpace &heap, scenario::Materialized &mat);
+    void buildScenarioJob(const scenario::Scenario &sc,
+                          mgpu::MultiGpu &machine,
+                          scenario::Materialized &mat);
     void cancelLocked(Record &rec, CancelCause cause,
                       const std::string &why);
     void finishCancelled(Record &rec, JobReport &rep);

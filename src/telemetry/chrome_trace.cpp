@@ -258,7 +258,9 @@ chromeTraceJson(const std::vector<const TelemetrySink *> &sinks)
             continue;
         }
         appendSink(w, *sinks[d], d * kPidStride,
-                   logging_detail::formatMessage("gpu%zu ", d));
+                   sinks.size() == 1
+                       ? std::string()
+                       : logging_detail::formatMessage("gpu%zu ", d));
     }
     return w.finish();
 }

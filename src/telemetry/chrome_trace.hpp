@@ -33,7 +33,8 @@ std::string chromeTraceJson(const TelemetrySink &sink);
  * skipped). Device d's tracks keep the single-sink mapping but live in
  * their own pid range (machine process at d*2^20, streams behind it)
  * with process names prefixed "gpu<d> ", so an N-GPU run renders as N
- * labelled process groups on one shared timeline.
+ * labelled process groups on one shared timeline. One sink renders
+ * exactly as the single-sink overload.
  */
 std::string chromeTraceJson(const std::vector<const TelemetrySink *> &sinks);
 

@@ -399,11 +399,8 @@ TEST(FastForward, WorksUnderTheWatchdog)
     // cadence even while the engine jumps, and the run must still drain.
     const RunOutputs ticked = runIdleHeavy(false);
 
-    engine::EngineConfig ec;
-    ec.fastForward = true;
     AddressSpace cheap(0x8000'0000ull);
     Gpu gpu(smallGpu());
-    gpu.setEngine(ec);
     const StreamId s = gpu.createStream("compute");
     ComputeKernelDesc d;
     d.name = "burst";

@@ -3,7 +3,8 @@
  * crisp::mgpu tests: remote round-trip accounting against the hand
  * model, page-migration conservation, the shared run loop on a machine
  * (fast-forward vs ticked, sliced vs whole, thread counts, cancellation,
- * the watchdog's hang report), and the multi-GPU scenario schema
+ * the watchdog's hang report), a 1-device machine against a bare Gpu,
+ * and the multi-GPU scenario schema
  * (num_gpus, placement, per-stream/per-buffer device fields, Poisson
  * arrivals).
  */
@@ -11,13 +12,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "integrity/fault_injector.hpp"
+#include "common/table.hpp"
 #include "mgpu/multi_gpu.hpp"
+#include "partition/warped_slicer.hpp"
 #include "scenario/build.hpp"
 #include "scenario/scenario.hpp"
+#include "telemetry/sink.hpp"
 #include "workloads/compute.hpp"
 
 using namespace crisp;
@@ -348,9 +354,6 @@ TEST(MgpuDeterminism, ThreadCountsAgreeOnTwoGpuScenario)
 TEST(MgpuRun, PresetCancelStopsAtACleanBoundary)
 {
     mgpu::MultiGpu machine(smallDual());
-    engine::EngineConfig ec;
-    ec.fastForward = true;
-    machine.setEngine(ec);
     AddressSpace heap = machine.heapFor(0);
     const uint64_t bytes = 1 << 20;
     const Addr base = heap.alloc(bytes);
@@ -389,10 +392,8 @@ TEST(MgpuRun, FrozenSmOnSecondDeviceEndsInAHangReport)
 {
     for (const bool frozen : {false, true}) {
         SCOPED_TRACE(frozen ? "frozen" : "control");
+        // The fault injector disarms the (default) fast-forward.
         mgpu::MultiGpu machine(smallDual());
-        engine::EngineConfig ec;
-        ec.fastForward = true;   // disarmed by the fault injector
-        machine.setEngine(ec);
         integrity::FaultConfig fc;
         if (frozen) {
             fc.freezeSm = 1;
@@ -594,5 +595,129 @@ TEST(MgpuScenario, PlacementResolvesDevices)
         EXPECT_TRUE(r.completed);
         EXPECT_TRUE(r.violations.empty());
         EXPECT_GT(machine.fabric().requestsAccepted(), 0u);
+    }
+}
+
+namespace
+{
+
+/** What a 1-device machine must reproduce of a bare Gpu's run. */
+struct SoloRun
+{
+    Cycle cycles = 0;
+    std::map<StreamId, StreamStats> streams;
+    std::string timeline;
+};
+
+/**
+ * Run scenarios/@p file on a bare Gpu or on a 1-device MultiGpu, under
+ * fine-grained Warped-Slicer partitioning when @p fg_slicer, with the
+ * counter audit every cycle and counters sampled every 1000 cycles.
+ */
+SoloRun
+runSolo(const char *file, bool fg_slicer, bool on_machine)
+{
+    scenario::Scenario sc;
+    scenario::ScenarioError err;
+    EXPECT_TRUE(scenario::loadScenarioFile(
+        std::string(CRISP_SCENARIO_DIR) + "/" + file, sc, err))
+        << err.str();
+    mgpu::MultiGpuConfig cfg;
+    cfg.numGpus = 1;
+    cfg.gpu = scenario::gpuConfigFor(sc);
+    std::unique_ptr<mgpu::MultiGpu> machine;
+    std::unique_ptr<Gpu> bare;
+    Gpu *gpu = nullptr;
+    if (on_machine) {
+        machine = std::make_unique<mgpu::MultiGpu>(cfg);
+        gpu = &machine->device(0);
+    } else {
+        bare = std::make_unique<Gpu>(cfg.gpu);
+        gpu = bare.get();
+    }
+    telemetry::TelemetryConfig tc;
+    tc.sampleInterval = 1000;
+    telemetry::TelemetrySink sink(tc);
+    gpu->setTelemetry(&sink);
+
+    scenario::Materialized mat;
+    AddressSpace heap;
+    const scenario::SubmitResult sr = on_machine
+        ? scenario::submitScenarioMulti(sc, *machine, mat)
+        : scenario::submitScenario(sc, *gpu, heap, mat);
+    std::unique_ptr<WarpedSlicer> slicer;
+    if (fg_slicer) {
+        PartitionConfig part;
+        part.policy = PartitionPolicy::FineGrained;
+        part.share[sr.gfx] = 0.5;
+        part.priorityStream = sr.gfx;
+        gpu->setPartition(part);
+        WarpedSlicerConfig wc;
+        wc.streamA = sr.gfx;
+        wc.streamB = sr.cmp;
+        slicer = std::make_unique<WarpedSlicer>(wc);
+        gpu->addController(slicer.get());
+    }
+
+    integrity::RunOptions opts;
+    opts.auditInterval = 1;
+    Gpu::RunResult r;
+    if (on_machine) {
+        const mgpu::MultiGpu::RunResult mr = machine->run(50'000'000, opts);
+        for (const auto &v : mr.violations) {
+            ADD_FAILURE() << v.check << ": " << v.detail;
+        }
+        r = mr;
+    } else {
+        r = gpu->run(50'000'000, opts);
+    }
+    EXPECT_TRUE(r.completed);
+    EXPECT_FALSE(r.hang.has_value());
+    return {r.cycles, gpu->stats().allStreams(),
+            sink.series().toTable().toCsv()};
+}
+
+void
+expectSameRun(const SoloRun &machine, const SoloRun &bare)
+{
+    EXPECT_EQ(machine.cycles, bare.cycles);
+    EXPECT_EQ(machine.timeline, bare.timeline);
+    ASSERT_EQ(machine.streams.size(), bare.streams.size());
+    for (const auto &[id, st] : bare.streams) {
+        ASSERT_EQ(machine.streams.count(id), 1u) << "stream " << id;
+        for (const StreamStatsField &f : kStreamStatsFields) {
+            EXPECT_EQ(machine.streams.at(id).*f.member, st.*f.member)
+                << "stream " << id << " " << f.name;
+        }
+    }
+}
+
+} // namespace
+
+TEST(MgpuOneDevice, EqualsABareGpuOnSponzaVioUnderFgSlicer)
+{
+    expectSameRun(runSolo("sponza_vio.json", true, true),
+                  runSolo("sponza_vio.json", true, false));
+}
+
+TEST(MgpuOneDevice, EqualsABareGpuOnRayTraversal)
+{
+    expectSameRun(runSolo("ray_traversal.json", false, true),
+                  runSolo("ray_traversal.json", false, false));
+}
+
+TEST(MgpuOneDevice, MachineSizeIsOneToEight)
+{
+    mgpu::MultiGpuConfig cfg = smallDual();
+    cfg.numGpus = 1;
+    mgpu::MultiGpu one(cfg);
+    EXPECT_EQ(one.numGpus(), 1u);
+    EXPECT_EQ(one.heapFor(0).allocatedEnd(), AddressSpace().allocatedEnd());
+    EXPECT_EQ(one.device(0).createStream("s"), 0u);
+    EXPECT_EXIT(one.fabric(), ::testing::ExitedWithCode(1), "no fabric");
+    for (const uint32_t n : {0u, 9u}) {
+        cfg.numGpus = n;
+        EXPECT_EXIT(mgpu::MultiGpu{cfg}, ::testing::ExitedWithCode(1),
+                    "1..8 devices");
     }
 }

@@ -64,16 +64,6 @@ loadFileOrDie(const char *name)
     return sc;
 }
 
-/** Single-threaded fast-forwarding engine: deterministic and quick. */
-void
-fastEngine(Gpu &gpu)
-{
-    engine::EngineConfig ec;
-    ec.threads = 1;
-    ec.fastForward = true;
-    gpu.setEngine(ec);
-}
-
 void
 expectStreamStatsIdentical(const StreamStats &a, const StreamStats &b)
 {
@@ -262,7 +252,6 @@ TEST(ScenarioParity, SponzaVioMatchesHandBuiltPathExactly)
 
     // Scenario path.
     Gpu a(scenario::gpuConfigFor(sc));
-    fastEngine(a);
     AddressSpace heap_a;
     scenario::Materialized mat;
     const scenario::SubmitResult sr =
@@ -276,7 +265,6 @@ TEST(ScenarioParity, SponzaVioMatchesHandBuiltPathExactly)
     // Hand-built path from the workloads library: SPL at 640x360, two
     // frames, then VIO on its own stream.
     Gpu b(GpuConfig::rtx3070());
-    fastEngine(b);
     AddressSpace heap_b;
     Scene scene = buildSceneByName("SPL", heap_b);
     PipelineConfig pc;
@@ -349,7 +337,6 @@ TEST(ScenarioStress, DeformingFlagRebuildsTheMeshEveryFrame)
     EXPECT_EQ(sc.graphics.deform.mesh, "flag");
 
     Gpu gpu(scenario::gpuConfigFor(sc));
-    fastEngine(gpu);
     AddressSpace heap;
     scenario::Materialized mat;
     const scenario::SubmitResult sr =
@@ -397,7 +384,6 @@ TEST(ScenarioStress, DivergenceBudgetIncreasesExecutedWork)
     for (int i = 0; i < 2; ++i) {
         const Scenario sc = loadTextOrDie(texts[i]);
         Gpu gpu(scenario::gpuConfigFor(sc));
-        fastEngine(gpu);
         AddressSpace heap;
         scenario::Materialized mat;
         const scenario::SubmitResult sr =
@@ -426,7 +412,6 @@ TEST(ScenarioStress, BurstScheduleGatesKernelArrival)
     })");
 
     Gpu gpu(scenario::gpuConfigFor(sc));
-    fastEngine(gpu);
     AddressSpace heap;
     scenario::Materialized mat;
     scenario::submitScenario(sc, gpu, heap, mat);
@@ -455,7 +440,6 @@ TEST(ScenarioStress, DramSaturationSurvivesTheWatchdog)
     const Scenario sc = loadFileOrDie("ray_traversal.json");
 
     Gpu watched(scenario::gpuConfigFor(sc));
-    fastEngine(watched);
     AddressSpace heap;
     scenario::Materialized mat;
     const scenario::SubmitResult sr =
@@ -469,7 +453,6 @@ TEST(ScenarioStress, DramSaturationSurvivesTheWatchdog)
         << (wr.hang ? wr.hang->render() : "no hang report");
 
     Gpu plain(scenario::gpuConfigFor(sc));
-    fastEngine(plain);
     AddressSpace heap2;
     scenario::Materialized mat2;
     scenario::submitScenario(sc, plain, heap2, mat2);
@@ -512,7 +495,6 @@ TEST(ScenarioFlatten, PackedTraceReplaysByteIdenticalToLive)
 
     // Live path.
     Gpu live(scenario::gpuConfigFor(sc));
-    fastEngine(live);
     AddressSpace heap_live;
     scenario::Materialized mat_live;
     const scenario::SubmitResult sr =
@@ -544,7 +526,6 @@ TEST(ScenarioFlatten, PackedTraceReplaysByteIdenticalToLive)
     ASSERT_EQ(loaded.dependsOn, flat.cmpDependsOn);
 
     Gpu replay(scenario::gpuConfigFor(sc));
-    fastEngine(replay);
     const StreamId rs = replay.createStream("compute");
     traceio::submitLoaded(replay, rs, loaded);
     const auto run_replay = replay.run(8'000'000'000ull);
@@ -594,7 +575,6 @@ TEST(ScenarioFlatten, SplitCacheHitReproducesTheMissBuild)
     StreamStats stats[2];
     for (int i = 0; i < 2; ++i) {
         Gpu gpu(scenario::gpuConfigFor(sc));
-        fastEngine(gpu);
         const StreamId s = gpu.createStream("compute");
         std::vector<KernelId> ids;
         for (size_t k = 0; k < subs[i]->kernels.size(); ++k) {

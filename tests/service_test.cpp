@@ -4,12 +4,14 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "integrity/report.hpp"
+#include "mgpu/multi_gpu.hpp"
 #include "scenario/build.hpp"
 #include "scenario/scenario.hpp"
 #include "service/chaos.hpp"
@@ -319,6 +321,10 @@ TEST(ServiceJob, ReportJsonRoundTrip)
     rep.instructions = 1440;
     rep.kernelsCompleted = 1;
     rep.violations = {"counter-l2-fills", "forward-progress"};
+    rep.streams[0].instructions = 1000;
+    rep.streams[0].firstCycle = 3;
+    rep.streams[32].remoteAccesses = 7;
+    rep.streams[32].lastCycle = 4095;
 
     const JobReport back = JobReport::fromJson(rep.toJson());
     EXPECT_EQ(back.id, rep.id);
@@ -331,6 +337,11 @@ TEST(ServiceJob, ReportJsonRoundTrip)
     EXPECT_EQ(back.instructions, rep.instructions);
     EXPECT_EQ(back.kernelsCompleted, rep.kernelsCompleted);
     EXPECT_EQ(back.violations, rep.violations);
+    ASSERT_EQ(back.streams.size(), 2u);
+    EXPECT_EQ(back.streams.at(0).instructions, 1000u);
+    EXPECT_EQ(back.streams.at(0).firstCycle, 3u);
+    EXPECT_EQ(back.streams.at(32).remoteAccesses, 7u);
+    EXPECT_EQ(back.streams.at(32).lastCycle, 4095u);
 }
 
 TEST(ServiceJob, StateNamesAndTerminality)
@@ -829,12 +840,47 @@ const char *kTinyScenario = R"({
 })";
 
 JobSpec
-scenarioSpec(const char *text, const char *name = "scn")
+scenarioSpec(const std::string &text, const char *name = "scn")
 {
     JobSpec spec;
     spec.name = name;
     spec.scenarioText = text;
     return spec;
+}
+
+std::string
+mgpuScenarioText()
+{
+    std::ifstream f(std::string(CRISP_SCENARIO_DIR) +
+                    "/game_inference_mgpu.json");
+    return std::string((std::istreambuf_iterator<char>(f)),
+                       std::istreambuf_iterator<char>());
+}
+
+/** The run options every crispd job runs under. */
+integrity::RunOptions
+jobRunOptions(const JobServer &server)
+{
+    integrity::RunOptions opts;
+    opts.checkInterval = server.config().watchdogInterval;
+    opts.hangThreshold = server.config().hangThreshold;
+    opts.auditInterval = server.config().auditInterval;
+    return opts;
+}
+
+/** Every field of every stream, named on a mismatch. */
+void
+expectSameStreams(const std::map<StreamId, StreamStats> &job,
+                  const std::map<StreamId, StreamStats> &direct)
+{
+    ASSERT_EQ(job.size(), direct.size());
+    for (const auto &[id, st] : direct) {
+        ASSERT_EQ(job.count(id), 1u) << "stream " << id;
+        for (const StreamStatsField &f : kStreamStatsFields) {
+            EXPECT_EQ(job.at(id).*f.member, st.*f.member)
+                << "stream " << id << " " << f.name;
+        }
+    }
 }
 
 TEST_F(ServiceTest, ScenarioAdmissionValidatesDocumentAndCaps)
@@ -881,24 +927,72 @@ TEST_F(ServiceTest, ScenarioAdmissionValidatesDocumentAndCaps)
     EXPECT_EQ(server.admissionError(bursts).rfind("over-quota", 0), 0u);
 }
 
-TEST_F(ServiceTest, MultiGpuScenarioIsRejectedAtAdmission)
+TEST_F(ServiceTest, MultiGpuScenarioJobMatchesADirectRun)
 {
-    // Jobs run on one Gpu: a num_gpus > 1 scenario must be refused, not
-    // run single-GPU with its placement and buffer devices dropped.
-    std::ifstream f(std::string(CRISP_SCENARIO_DIR) +
-                    "/game_inference_mgpu.json");
-    const std::string text((std::istreambuf_iterator<char>(f)),
-                           std::istreambuf_iterator<char>());
+    // A multi-GPU job runs on the machine its gpu section names, with
+    // its placement and per-buffer devices — the direct run's machine.
+    const std::string text = mgpuScenarioText();
     ASSERT_FALSE(text.empty());
-
     JobServer server(baseConfig());
-    const JobServer::Admission a =
-        server.submit(scenarioSpec(text.c_str(), "mgpu"));
-    EXPECT_FALSE(a.accepted);
-    EXPECT_EQ(a.error.rfind("malformed:", 0), 0u) << a.error;
-    EXPECT_NE(a.error.find("num_gpus"), std::string::npos) << a.error;
-    EXPECT_EQ(server.counters().rejectedInvalid, 1u);
-    EXPECT_EQ(server.counters().accepted, 0u);
+    const JobServer::Admission a = server.submit(scenarioSpec(text, "mgpu"));
+    ASSERT_TRUE(a.accepted) << a.error;
+    const auto rep = server.wait(a.id);
+    ASSERT_TRUE(rep.has_value());
+    ASSERT_EQ(rep->state, JobState::Completed) << rep->message;
+
+    scenario::Scenario sc;
+    scenario::ScenarioError serr;
+    ASSERT_TRUE(scenario::loadScenarioText(text, "mgpu", sc, serr))
+        << serr.str();
+    mgpu::MultiGpuConfig mcfg;
+    mcfg.numGpus = sc.gpu.numGpus;
+    mcfg.gpu = scenario::gpuConfigFor(sc);
+    mgpu::MultiGpu machine(mcfg);
+    scenario::Materialized mat;
+    scenario::submitScenarioMulti(sc, machine, mat);
+    const mgpu::MultiGpu::RunResult r =
+        machine.run(JobSpec().quota.maxCycles, jobRunOptions(server));
+    ASSERT_TRUE(r.completed);
+
+    EXPECT_EQ(rep->cycles, r.cycles);
+    const StatsRegistry merged = machine.mergedStats();
+    expectSameStreams(rep->streams, merged.allStreams());
+    EXPECT_EQ(rep->instructions,
+              merged.sumOver(&StreamStats::instructions));
+    EXPECT_EQ(rep->kernelsCompleted,
+              merged.sumOver(&StreamStats::kernelsCompleted));
+
+    // The job's remote traffic is the direct run's fabric traffic.
+    const mgpu::InterGpuFabric &fabric = machine.fabric();
+    EXPECT_GT(fabric.requestsAccepted(), 0u);
+    uint64_t remote = 0;
+    uint64_t responses = 0;
+    uint64_t migrations = 0;
+    for (const auto &[id, st] : rep->streams) {
+        remote += st.remoteAccesses;
+        responses += st.remoteResponses;
+        migrations += st.pageMigrations;
+    }
+    EXPECT_EQ(remote, fabric.requestsAccepted());
+    EXPECT_EQ(responses, fabric.responsesDelivered());
+    EXPECT_EQ(migrations, fabric.pageMigrations());
+}
+
+TEST_F(ServiceTest, FrozenMultiGpuJobIsContainedAsHung)
+{
+    JobServer server(baseConfig());
+    JobSpec spec = scenarioSpec(mgpuScenarioText(), "mgpu-frozen");
+    spec.fault.enabled = true;
+    spec.fault.freezeSmAt = 64;
+    const JobServer::Admission a = server.submit(spec);
+    ASSERT_TRUE(a.accepted) << a.error;
+
+    const auto rep = server.wait(a.id);
+    ASSERT_TRUE(rep.has_value());
+    EXPECT_EQ(rep->state, JobState::Hung);
+    EXPECT_NE(rep->message.find("progress"), std::string::npos)
+        << rep->message;
+    EXPECT_EQ(server.counters().hung, 1u);
 }
 
 TEST_F(ServiceTest, LegacyWorkloadJobIsMalformed)
@@ -933,28 +1027,23 @@ TEST_F(ServiceTest, ScenarioJobMatchesADirectRunExactly)
     EXPECT_EQ(rep->kernelsCompleted, 2u);
 
     // Rebuild the job's machine by hand: same preset, same engine, same
-    // run options. The daemon adds nothing to the simulation itself.
+    // heap base, same run options. The daemon adds nothing to the
+    // simulation itself.
     scenario::Scenario sc;
     scenario::ScenarioError serr;
     ASSERT_TRUE(
         scenario::loadScenarioText(kTinyScenario, "mem", sc, serr))
         << serr.str();
     Gpu gpu(scenario::gpuConfigFor(sc));
-    engine::EngineConfig ec;
-    ec.threads = 1;
-    ec.fastForward = true;
-    gpu.setEngine(ec);
     AddressSpace heap;
     scenario::Materialized mat;
     scenario::submitScenario(sc, gpu, heap, mat);
-    integrity::RunOptions opts;
-    opts.checkInterval = server.config().watchdogInterval;
-    opts.hangThreshold = server.config().hangThreshold;
-    opts.auditInterval = server.config().auditInterval;
-    const Gpu::RunResult r = gpu.run(JobSpec().quota.maxCycles, opts);
+    const Gpu::RunResult r =
+        gpu.run(JobSpec().quota.maxCycles, jobRunOptions(server));
     ASSERT_TRUE(r.completed);
 
     EXPECT_EQ(rep->cycles, r.cycles);
+    expectSameStreams(rep->streams, gpu.stats().allStreams());
     EXPECT_EQ(rep->instructions,
               gpu.stats().sumOver(&StreamStats::instructions));
     EXPECT_EQ(rep->kernelsCompleted,
